@@ -8,9 +8,12 @@ each composed rule before Theorem 4.2's mutual-mapping search.  This
 ablation measures the end-to-end equivalence-test time with and without
 that pass, over the paper's (Q4)/(V1) composition and the fan-out family.
 
-Expected shape: minimization costs a little on tiny inputs and saves a
-lot as compositions grow (the mapping search is exponential in the number
-of body paths).
+Each row also reports the equivalence decision and the body paths the
+test compared (``tested_paths``): minimizing must not change a decision
+and may only shrink what is compared.  Measured shape (EXPERIMENTS.md):
+minimization costs about what it saves at these sizes and cuts the
+compared paths 8-12x; it bounds the worst case, since the mapping search
+is exponential in the number of body paths.
 """
 
 from __future__ import annotations
@@ -43,42 +46,57 @@ def _fanout_case(fanout: int):
     return composed, reference
 
 
-def equivalence_time(composed, reference, minimize_rules: bool) -> float:
+def equivalence_run(composed, reference, minimize_rules: bool):
+    """Time one equivalence test; return its seconds, its decision and
+    the body paths it compared (after the chase, and minimization when
+    on)."""
     started = time.perf_counter()
-    assert programs_equivalent(
-        prepare_program(composed, minimize_rules=minimize_rules),
-        reference)
-    return time.perf_counter() - started
+    prepared = prepare_program(composed, minimize_rules=minimize_rules)
+    decision = programs_equivalent(prepared, reference)
+    seconds = time.perf_counter() - started
+    return seconds, decision, sum(len(query_paths(r)) for r in prepared)
+
+
+def equivalence_time(composed, reference, minimize_rules: bool) -> float:
+    seconds, decision, _ = equivalence_run(composed, reference,
+                                           minimize_rules)
+    assert decision
+    return seconds
+
+
+def _rows(case: str, composed, reference) -> list[dict]:
+    rows = []
+    for minimize_rules in (False, True):
+        seconds, decision, tested = equivalence_run(composed, reference,
+                                                    minimize_rules)
+        rows.append({
+            "case": case,
+            "minimize": minimize_rules,
+            "paths": sum(len(query_paths(r)) for r in composed),
+            "tested_paths": tested,
+            "equivalent": decision,
+            "seconds": seconds,
+        })
+    return rows
 
 
 def run_experiment() -> list[dict]:
-    rows = []
     composed, q3 = _paper_case()
-    for minimize_rules in (False, True):
-        rows.append({
-            "case": "(V1) o (Q4)n vs (Q3)",
-            "minimize": minimize_rules,
-            "paths": sum(len(query_paths(r)) for r in composed),
-            "seconds": equivalence_time(composed, [q3], minimize_rules),
-        })
+    rows = _rows("(V1) o (Q4)n vs (Q3)", composed, [q3])
     for fanout in FANOUTS:
         composed, reference = _fanout_case(fanout)
-        for minimize_rules in (False, True):
-            rows.append({
-                "case": f"fanout({fanout}) self-equivalence",
-                "minimize": minimize_rules,
-                "paths": sum(len(query_paths(r)) for r in composed),
-                "seconds": equivalence_time(composed, reference,
-                                            minimize_rules),
-            })
+        rows += _rows(f"fanout({fanout}) self-equivalence", composed,
+                      reference)
     return rows
 
 
 def print_table(rows: list[dict]) -> None:
-    print(f"{'case':28} {'minimize':>8} {'paths':>6} {'seconds':>9}")
+    print(f"{'case':28} {'minimize':>8} {'paths':>6} {'tested':>6} "
+          f"{'seconds':>9}")
     for row in rows:
         print(f"{row['case']:28} {str(row['minimize']):>8} "
-              f"{row['paths']:>6} {row['seconds']:>9.4f}")
+              f"{row['paths']:>6} {row['tested_paths']:>6} "
+              f"{row['seconds']:>9.4f}")
 
 
 # -- pytest-benchmark entry points ------------------------------------------

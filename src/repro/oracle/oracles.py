@@ -71,13 +71,14 @@ from __future__ import annotations
 import json
 import tempfile
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Protocol
 
 from ..analysis.viewset.signature import query_profile, view_signature
 from ..errors import ChaseContradictionError, CompositionError, ReproError
-from ..logic.terms import FunctionTerm
+from ..logic.subst import Substitution
+from ..logic.terms import FunctionTerm, Variable
 from ..oem.equivalence import explain_difference, identical
 from ..oem.model import OemDatabase
 from ..oem.serialize import database_to_json
@@ -160,6 +161,42 @@ def _uses_set_mappings(query: Query) -> bool:
                     or _term_has_set_pattern(pattern.value)):
                 return True
     return False
+
+
+def _pad_with_path_copies(query: Query) -> Query:
+    """*query* with a weakened copy of each body path put first.
+
+    A copy keeps the head variables and renames the rest fresh; a path
+    below the top level also loses its last step (its leaf becomes a
+    fresh variable), so its original cannot map into it.  Every copy
+    maps into its original: the padded query is equivalent to *query*
+    and its cores have the same size.
+    """
+    head_vars = query.head_variables()
+    copies = []
+    for number, path in enumerate(query_paths(query)):
+        if path.depth > 1:
+            path = replace(path, steps=path.steps[:-1],
+                           leaf=Variable(f"Leaf_pad{number}"))
+        condition = path_to_condition(path)
+        fresh = Substitution({
+            v: Variable(f"{v.name}_pad{number}")
+            for v in set(condition.variables()) - head_vars})
+        copies.append(condition.substitute(fresh))
+    return Query(query.head, (*copies, *query.body), name=query.name)
+
+
+def _removable_path(query: Query):
+    """A body path of *query* whose removal keeps it equivalent (the body
+    maps into the rest, head variables fixed), or None for a core."""
+    frozen = Substitution({v: v for v in query.head_variables()})
+    paths = query_paths(query)
+    for index, path in enumerate(paths):
+        remaining = paths[:index] + paths[index + 1:]
+        if remaining and body_mappings(paths, remaining, initial=frozen,
+                                       limit=1):
+            return path
+    return None
 
 
 class SemanticOracle:
@@ -302,6 +339,28 @@ class ContainmentOracle:
                 self.name, "minimize-sound",
                 f"minimized query evaluates differently: "
                 f"{_diff_summary(expected, actual)}"))
+        # Soundness alone passes a minimize that stops early, and a
+        # generated query is rarely redundant.  The padded query is: its
+        # weakened copies come first, a witness removing one may map the
+        # others onto themselves, and so its core can take several
+        # retractions.  Both results must be cores, of the same size
+        # (cores are unique up to isomorphism).
+        padded = minimize(_pad_with_path_copies(target))
+        for query in (minimized, padded):
+            result.checks += 1
+            removable = _removable_path(query)
+            if removable is not None:
+                result.failures.append(Failure(
+                    self.name, "minimize-core",
+                    f"minimize() left the removable path {removable} in "
+                    f"{query}"))
+        result.checks += 1
+        sizes = [len(query_paths(q)) for q in (minimized, padded)]
+        if sizes[0] != sizes[1]:
+            result.failures.append(Failure(
+                self.name, "minimize-core",
+                f"cores of one query differ in size: {sizes[0]} paths "
+                f"minimized, {sizes[1]} from the padded query"))
 
 
 class MetamorphicOracle:

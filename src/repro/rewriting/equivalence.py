@@ -24,7 +24,7 @@ from ..tsl.ast import Query
 from ..tsl.decompose import ComponentQuery, decompose_program
 from ..tsl.normalize import normalize, path_to_condition, query_paths
 from .chase import StructuralConstraints, chase
-from .mappings import body_mappings, component_mapping
+from .mappings import body_mappings, component_mapping, coverage
 
 
 def prepare_program(rules: Iterable[Query],
@@ -159,27 +159,27 @@ def equivalent(left: Query, right: Query,
 
 
 def minimize(query: Query, *, budget=None) -> Query:
-    """Remove redundant body conditions (classic CQ minimization).
+    """Remove redundant body conditions, leaving a core of *query*.
 
-    A path is removable when the full body maps into the remaining body by
-    a containment mapping that is the identity on head variables -- a
-    sound (homomorphism-witnessed) proof that the smaller query is
-    contained in the original; the other containment is trivial.
-    Compositions produce one view-body copy per resolution goal, so they
-    carry heavy redundancy; this pass collapses it.
+    A path is removable when the body maps into the rest of the body by a
+    containment mapping that fixes the head variables.  That witness then
+    retracts the body onto its image (the paths it lands on, in order),
+    dropping every path it avoids at once.  Paths found non-removable lie
+    in every later image and stay non-removable, so one scan suffices.
+    Compositions (one view-body copy per resolution goal) shrink most.
     """
     current = normalize(query)
     frozen = Substitution({v: v for v in current.head_variables()})
     paths = query_paths(current)
-    improved = True
-    while improved and len(paths) > 1:
-        improved = False
-        for index in range(len(paths)):
-            remaining = paths[:index] + paths[index + 1:]
-            if body_mappings(paths, remaining, initial=frozen, limit=1,
-                             budget=budget):
-                paths = remaining
-                improved = True
-                break
+    index = 0
+    while 1 < len(paths) and index < len(paths):
+        remaining = paths[:index] + paths[index + 1:]
+        witness = body_mappings(paths, remaining, initial=frozen, limit=1,
+                                budget=budget)
+        if witness:
+            image = coverage(paths, remaining, witness[0])
+            paths = [p for i, p in enumerate(remaining) if i in image]
+        else:
+            index += 1
     return Query(current.head, tuple(path_to_condition(p) for p in paths),
                  name=current.name)

@@ -11,9 +11,12 @@ import importlib
 
 import pytest
 
+from repro.logic.subst import Substitution
 from repro.logic.terms import Constant
 from repro.oracle import (ORACLES, FuzzConfig, generate_case, run_fuzz,
                           run_oracle)
+from repro.tsl.ast import Query
+from repro.tsl.normalize import normalize, path_to_condition, query_paths
 
 # repro.rewriting re-exports `chase` (the function), shadowing the
 # submodule attribute -- resolve the modules explicitly for monkeypatching.
@@ -23,6 +26,7 @@ mappings_mod = importlib.import_module("repro.rewriting.mappings")
 session_mod = importlib.import_module("repro.rewriting.session")
 signature_mod = importlib.import_module("repro.analysis.viewset.signature")
 index_mod = importlib.import_module("repro.rewriting.index")
+oracles_mod = importlib.import_module("repro.oracle.oracles")
 durable_mod = importlib.import_module("repro.storage.durable")
 cachestore_mod = importlib.import_module("repro.storage.cachestore")
 maintenance_mod = importlib.import_module("repro.storage.maintenance")
@@ -70,6 +74,33 @@ def test_broken_equivalence_is_caught(monkeypatch):
     invariants = {f.invariant for f in report.failures}
     assert invariants & {"chase-equivalent", "normalize-equivalent",
                          "minimize-equivalent", "rewriting-complete"}
+
+
+def test_minimize_stopping_after_one_retraction_is_caught(monkeypatch):
+    # Stopping after the first retraction returns a sound but non-core
+    # query: equivalence and evaluation stay green, the core check trips.
+    def one_retraction(query, *, budget=None):
+        current = normalize(query)
+        frozen = Substitution({v: v for v in current.head_variables()})
+        paths = query_paths(current)
+        for index in range(len(paths)):
+            remaining = paths[:index] + paths[index + 1:]
+            witness = mappings_mod.body_mappings(
+                paths, remaining, initial=frozen, limit=1, budget=budget)
+            if witness:
+                image = mappings_mod.coverage(paths, remaining, witness[0])
+                paths = [p for i, p in enumerate(remaining) if i in image]
+                break
+        return Query(current.head,
+                     tuple(path_to_condition(p) for p in paths),
+                     name=current.name)
+
+    monkeypatch.setattr(equivalence_mod, "minimize", one_retraction)
+    monkeypatch.setattr(oracles_mod, "minimize", one_retraction)
+    report = run_fuzz(FuzzConfig(seed=0, iterations=8,
+                                 oracles=("containment",)))
+    _assert_caught(report)
+    assert {f.invariant for f in report.failures} == {"minimize-core"}
 
 
 def test_sloppy_mapping_match_is_caught(monkeypatch):

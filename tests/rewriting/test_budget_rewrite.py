@@ -21,6 +21,14 @@ def star_workload(branches):
     return star_query(branches), {"V": star_view(branches)}
 
 
+def midway_steps(query, views):
+    """Half the steps of a full run: a step budget that stops the search
+    midway however cheap the search becomes."""
+    probe = Budget()
+    rewrite(query, views, budget=probe)
+    return probe.steps // 2
+
+
 def two_view_workload():
     """One condition, two interchangeable views: two candidates tested."""
     query = parse_query('<f(P) result V> :- <P c V>@db')
@@ -37,7 +45,7 @@ class TestStepBudget:
         full = rewrite(query, views)
         assert full.rewritings and not full.truncated
 
-        budget = Budget(max_steps=700)
+        budget = Budget(max_steps=midway_steps(query, views))
         partial = rewrite(query, views, budget=budget)
         assert partial.truncated is True
         assert partial.stats.truncated is True
@@ -181,8 +189,8 @@ class TestTracing:
     def test_budget_expiry_still_closes_spans(self):
         tracer = Tracer()
         query, views = star_workload(2)
-        result = rewrite(query, views, tracer=tracer,
-                         budget=Budget(max_steps=700))
+        budget = Budget(max_steps=midway_steps(query, views))
+        result = rewrite(query, views, tracer=tracer, budget=budget)
         assert result.truncated
         (root,) = tracer.roots()
         assert root.attrs.get("truncated") == "steps"
@@ -202,8 +210,8 @@ class TestTracing:
         # the partial result).
         registry = MetricsRegistry()
         query, views = star_workload(2)
-        result = rewrite(query, views, budget=Budget(max_steps=700),
-                         metrics=registry)
+        budget = Budget(max_steps=midway_steps(query, views))
+        result = rewrite(query, views, budget=budget, metrics=registry)
         assert result.truncated is True
         counters = registry.snapshot()["counters"]
         assert counters["rewrite.runs"] == 1

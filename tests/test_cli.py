@@ -146,13 +146,20 @@ class TestRewriteObservability:
 
     def test_budget_truncation_warns_and_exits_cleanly(
             self, tmp_path, capsys):
+        from repro.obs import Budget
+        from repro.rewriting import rewrite
         from repro.workloads.querygen import star_query, star_view
+        # Half the steps of a full run stops the search midway however
+        # cheap it becomes.
+        probe = Budget()
+        rewrite(star_query(2), {"V": star_view(2)}, budget=probe)
         query = tmp_path / "star.tsl"
         query.write_text(str(star_query(2)))
         view = tmp_path / "starv.tsl"
         view.write_text(str(star_view(2)))
         code = main(["rewrite", str(query), "--view", f"V={view}",
-                     "--max-steps", "700", "--format", "json"])
+                     "--max-steps", str(probe.steps // 2),
+                     "--format", "json"])
         captured = capsys.readouterr()
         assert "search truncated (steps)" in captured.err
         data = json.loads(captured.out)
