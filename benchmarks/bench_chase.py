@@ -10,10 +10,10 @@ of them.  Series reported: depth -> time; the fitted growth ratio stays
 polynomial (doubling the input multiplies time by a constant factor, not
 an exponential one).
 
-The legacy-vs-fast rows compare the worklist label-inference and union
-saturation kernels against their quadratic rebuild-the-query
-predecessors (``chase(..., legacy=True)``); parity of the canonical
-hashes is asserted before the speedup row is emitted.
+The ``fast@depth`` rows time the chase at two fixed depths as stable
+per-row series for the regression gate.  Parity of the worklist kernels
+with the quadratic ones they replaced is checked in
+``tests/rewriting/test_path_index.py``.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ import time
 
 from repro.logic.terms import Constant, FunctionTerm, Variable
 from repro.rewriting import chase
-from repro.rewriting.canon import query_key
 from repro.rewriting.constraints import ChildSpec, Dtd
 from repro.tsl.ast import Condition, ObjectPattern, Query, SetPattern
 
 DEPTHS = (4, 8, 16, 32, 64)
-LEGACY_DEPTHS = (16, 64)
+FAST_DEPTHS = (16, 64)
 
 
 def chain_dtd(depth: int) -> Dtd:
@@ -54,9 +53,8 @@ def variable_label_chain(depth: int) -> Query:
     return Query(head, (Condition(pattern, "db"),))
 
 
-def chase_depth(depth: int, legacy: bool = False) -> Query:
-    return chase(variable_label_chain(depth), chain_dtd(depth),
-                 legacy=legacy)
+def chase_depth(depth: int) -> Query:
+    return chase(variable_label_chain(depth), chain_dtd(depth))
 
 
 def run_experiment() -> list[dict]:
@@ -69,23 +67,11 @@ def run_experiment() -> list[dict]:
             1 for v in chased.all_variables() if v.name.startswith("L"))
         rows.append({"depth": depth, "seconds": elapsed,
                      "labels_left": inferred})
-    for depth in LEGACY_DEPTHS:
+    for depth in FAST_DEPTHS:
         started = time.perf_counter()
-        fast = chase_depth(depth)
-        fast_s = time.perf_counter() - started
-        started = time.perf_counter()
-        legacy = chase_depth(depth, legacy=True)
-        legacy_s = time.perf_counter() - started
-        # The kernels must be invisible: identical canonical result.
-        assert query_key(fast) == query_key(legacy), \
-            f"legacy/fast chase parity broken at depth {depth}"
+        chase_depth(depth)
         rows.append({"mode": f"fast@{depth}", "depth": depth,
-                     "seconds": fast_s})
-        rows.append({"mode": f"legacy@{depth}", "depth": depth,
-                     "seconds": legacy_s})
-        rows.append({"mode": f"legacy-vs-fast@{depth}", "depth": depth,
-                     "parity": True,
-                     "speedup": legacy_s / max(fast_s, 1e-9)})
+                     "seconds": time.perf_counter() - started})
     return rows
 
 
@@ -93,10 +79,6 @@ def print_table(rows: list[dict]) -> None:
     print(f"{'mode':>20} {'depth':>6} {'seconds':>10} {'labels left':>12}")
     previous = None
     for row in rows:
-        if "speedup" in row:
-            print(f"{row['mode']:>20} {row['depth']:>6} "
-                  f"{'':>10} {'':>12}  speedup x{row['speedup']:.1f}")
-            continue
         ratio = ""
         if previous and "mode" not in row:
             ratio = f"  (x{row['seconds'] / max(previous, 1e-9):.1f})"
@@ -120,12 +102,6 @@ def test_all_labels_inferred():
         chased = chase_depth(depth)
         assert not any(v.name.startswith("L")
                        for v in chased.all_variables())
-
-
-def test_fast_and_legacy_chase_agree():
-    for depth in (4, 16):
-        assert query_key(chase_depth(depth)) == \
-            query_key(chase_depth(depth, legacy=True))
 
 
 def test_polynomial_shape():

@@ -2,7 +2,7 @@
 """Store series -- persistence overhead and warm-start lookup parity.
 
 The acceptance scenario of the persistence subsystem: a cache of >=100k
-entries is flushed to sharded JSON documents, a fresh process reloads
+entries is flushed to one JSON document, a fresh process reloads
 it, and warm-from-disk lookups must stay **within 2x** of lookups
 against the cache that never left memory (the entries deserialize into
 the same in-memory structures, so the steady-state cost is identical;
@@ -35,8 +35,8 @@ import time
 from pathlib import Path
 
 from repro.oem.serialize import database_to_json
-from repro.storage import (DurableStore, ShardedCacheStore,
-                           ShardedQueryCache, StorageLayout)
+from repro.repository.cache import QueryCache
+from repro.storage import CacheStore, DurableStore, StorageLayout
 from repro.tsl import parse_query
 from repro.tsl.evaluator import evaluate
 from repro.workloads import generate_bibliography
@@ -47,9 +47,6 @@ SIZES = (10_000, 100_000)
 
 #: Probe queries timed / parity-checked per size.
 PROBES = 200
-
-#: Shards the cache is split and persisted across.
-SHARDS = 8
 
 #: Publications in the backing database (drives the cold series).
 BACKING_PUBS = 1_000
@@ -91,11 +88,8 @@ def canonical(answer) -> str:
 
 
 def build_cache(db, probes: list, fillers: list,
-                version: int = 1) -> ShardedQueryCache:
-    # 2x headroom: HRW spreads keys statistically, so a shard sized at
-    # exactly the mean would evict on the hot shards.
-    cache = ShardedQueryCache(shards=SHARDS,
-                              capacity=2 * (len(probes) + len(fillers)))
+                version: int = 1) -> QueryCache:
+    cache = QueryCache(capacity=len(probes) + len(fillers))
     empty = evaluate(fillers[0], db) if fillers else None
     for query in fillers:
         cache.insert(query, empty, version)
@@ -108,7 +102,7 @@ def _best_of(rounds: int, fn) -> float:
     return min(fn() for _ in range(rounds))
 
 
-def _time_lookups(cache: ShardedQueryCache, probes: list,
+def _time_lookups(cache: QueryCache, probes: list,
                   version: int) -> float:
     """Best-of-ROUNDS total seconds for one pass over the probes."""
     def one_pass() -> float:
@@ -130,16 +124,13 @@ def run_size(entries: int, db=None) -> dict:
     assert len(cache) == entries
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as root:
-        layout = StorageLayout(Path(root))
-        disk = ShardedCacheStore(layout, SHARDS)
+        disk = CacheStore(StorageLayout(Path(root)).cache_file)
         started = time.perf_counter()
         disk.save(cache, store_version=1)
         save_s = time.perf_counter() - started
-        disk_bytes = sum(layout.shard_path(index).stat().st_size
-                         for index in range(SHARDS))
+        disk_bytes = disk.path.stat().st_size
 
-        reloaded = ShardedQueryCache(shards=SHARDS,
-                                     capacity=2 * entries)
+        reloaded = QueryCache(capacity=entries)
         started = time.perf_counter()
         loaded = disk.load(reloaded, store_version=1)
         load_s = time.perf_counter() - started

@@ -29,7 +29,7 @@ Usage (installed as ``python -m repro``)::
         [--slow-ms N] [--recorder-capacity N] [--no-recorder]
     python -m repro top --url http://HOST:PORT [--interval S] \
         [--once] [--count N]
-    python -m repro db init ROOT [--name N] [--shards N] [--force]
+    python -m repro db init ROOT [--name N] [--force]
     python -m repro db ingest ROOT --db DATA.json [--compact]
     python -m repro db stats ROOT
     python -m repro db flush ROOT
@@ -569,31 +569,13 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _db_shard_entries(layout) -> list[int]:
-    """Entry count per persisted cache shard (0 for absent files)."""
-    import json
-
-    manifest = layout.read_manifest()
-    counts = []
-    for index in range(manifest.get("cache_shards", 0)):
-        path = layout.shard_path(index)
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-            counts.append(len(document.get("entries", [])))
-        except (OSError, ValueError):
-            counts.append(0)
-    return counts
-
-
 def _cmd_db_init(args: argparse.Namespace) -> int:
     from .storage import DurableStore
 
-    store = DurableStore.create(args.root, args.name,
-                                cache_shards=args.shards,
-                                force=args.force)
+    store = DurableStore.create(args.root, args.name, force=args.force)
     store.close()
-    print(f"initialized store {args.name!r} at {args.root} "
-          f"({args.shards} cache shards)", file=sys.stderr)
+    print(f"initialized store {args.name!r} at {args.root}",
+          file=sys.stderr)
     return 0
 
 
@@ -615,12 +597,12 @@ def _cmd_db_stats(args: argparse.Namespace) -> int:
     """Deterministic storage statistics (byte-stable across runs)."""
     import json
 
-    from .storage import DurableStore, SessionRegistry
+    from .storage import CacheStore, DurableStore, SessionRegistry
 
     with DurableStore.open(args.root) as store:
+        persisted = CacheStore(store.layout.cache_file).persisted()
         payload = {"store": store.stats(),
-                   "cache": {"shards": store.cache_shards,
-                             "entries": _db_shard_entries(store.layout)},
+                   "cache": {"entries": persisted["entries"]},
                    "sessions": SessionRegistry(store.layout).stats()}
     print(json.dumps(payload, indent=1, sort_keys=True))
     return 0
@@ -948,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     db_cmd = commands.add_parser(
         "db", help="manage a persistent store directory (snapshot + "
-                   "WAL + cache shards; see docs/PERSISTENCE.md)")
+                   "WAL + query cache; see docs/PERSISTENCE.md)")
     db_sub = db_cmd.add_subparsers(dest="db_command", required=True)
 
     db_init = db_sub.add_parser(
@@ -956,9 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
     db_init.add_argument("root")
     db_init.add_argument("--name", default="db",
                          help="database/source name (default: db)")
-    db_init.add_argument("--shards", type=int, default=8,
-                         help="query-cache shard count, fixed at init "
-                              "(default: 8)")
     db_init.add_argument("--force", action="store_true",
                          help="re-initialize an existing store")
     db_init.set_defaults(handler=_cmd_db_init)

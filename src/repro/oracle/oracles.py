@@ -56,12 +56,12 @@ persist
     Transparency of the disk layer (:mod:`repro.storage`) and
     soundness of label-based incremental maintenance: the durable
     store reloads the case database byte-identically through both the
-    WAL-replay and the snapshot path with a stable version; a sharded
-    query cache and a rewrite-session memo round-trip through
+    WAL-replay and the snapshot path with a stable version; the query
+    cache and a rewrite-session memo round-trip through
     save/close/reload and serve the cached query (resp. rewrite
     result) as a hit with byte-identical answers and canonical
-    fingerprints; re-saving a reloaded cache reproduces the shard
-    files byte for byte; and an update touching labels a cached
+    fingerprints; re-saving a reloaded cache reproduces the cache
+    document byte for byte; and an update touching labels a cached
     statement can match invalidates its entry while a provably
     disjoint update patches it in place with the answer intact.
 """
@@ -82,6 +82,7 @@ from ..logic.terms import FunctionTerm, Variable
 from ..oem.equivalence import explain_difference, identical
 from ..oem.model import OemDatabase
 from ..oem.serialize import database_to_json
+from ..repository.cache import QueryCache
 from ..rewriting.canon import query_key
 from ..rewriting.chase import chase
 from ..rewriting.composition import compose
@@ -89,8 +90,7 @@ from ..rewriting.equivalence import equivalent, minimize, prepare_program
 from ..rewriting.mappings import body_mappings, find_mappings
 from ..rewriting.rewriter import rewrite
 from ..rewriting.session import RewriteSession
-from ..storage import (DurableStore, SessionRegistry, ShardedCacheStore,
-                       ShardedQueryCache, StorageLayout)
+from ..storage import CacheStore, DurableStore, SessionRegistry, StorageLayout
 from ..storage.maintenance import statement_labels
 from ..tsl.ast import Query, SetPatternTerm
 from ..tsl.evaluator import evaluate, evaluate_program
@@ -688,10 +688,10 @@ class PersistOracle:
       byte-identical under the sorted OEM serialization with a stable
       store version;
     * **cache** -- evaluate the query and every view, insert into a
-      :class:`~repro.storage.shard.ShardedQueryCache`, save, reload
-      into a fresh cache: the canonical-key/answer map must round-trip
+      :class:`~repro.repository.cache.QueryCache`, save, reload into a
+      fresh cache: the canonical-key/answer map must round-trip
       byte-identically, the query must hit exactly, and re-saving the
-      reloaded cache must reproduce the shard files byte for byte;
+      reloaded cache must reproduce the cache document byte for byte;
     * **memo** -- rewrite through a session, persist the result memo
       via :class:`~repro.storage.registry.SessionRegistry`, reload into
       a fresh session: the lookup must hit with the same canonical
@@ -704,7 +704,6 @@ class PersistOracle:
     """
 
     name = "persist"
-    SHARDS = 2
 
     def __init__(self, max_candidates: int = 128) -> None:
         self.max_candidates = max_candidates
@@ -725,8 +724,7 @@ class PersistOracle:
 
     def _check_store(self, case: Case, root: Path,
                      result: OracleResult) -> int:
-        store = DurableStore.create(root, case.db.name,
-                                    cache_shards=self.SHARDS)
+        store = DurableStore.create(root, case.db.name)
         store.ingest(case.db)
         store.close()
         expected = self._canonical(case.db)
@@ -754,21 +752,18 @@ class PersistOracle:
                      result: OracleResult) -> None:
         constraints = case.constraints
         layout = StorageLayout(root / "store")
-        cache = ShardedQueryCache(shards=self.SHARDS, capacity=64,
-                                  constraints=constraints)
+        cache = QueryCache(capacity=64, constraints=constraints)
         expected: dict[str, str] = {}
         for statement in (case.query, *case.views.values()):
             answer = evaluate(statement, case.db)
             entry = cache.insert(statement, answer, version)
             expected[entry.key] = self._canonical(answer)
-        disk = ShardedCacheStore(layout, self.SHARDS)
+        disk = CacheStore(layout.cache_file)
         disk.save(cache, version)
-        reloaded = ShardedQueryCache(shards=self.SHARDS, capacity=64,
-                                     constraints=constraints)
+        reloaded = QueryCache(capacity=64, constraints=constraints)
         disk.load(reloaded, version)
         loaded = {entry.key: self._canonical(entry.answer)
-                  for shard in reloaded.shards
-                  for entry in shard.snapshot_entries()}
+                  for entry in reloaded.snapshot_entries()}
         result.checks += 1
         if loaded != expected:
             missing = sorted(set(expected) - set(loaded))
@@ -779,18 +774,14 @@ class PersistOracle:
                 self.name, "cache-roundtrip",
                 f"reloaded cache differs: missing={missing[:3]} "
                 f"changed={changed[:3]} extra={extra[:3]}"))
-        resave = ShardedCacheStore(StorageLayout(root / "resave"),
-                                   self.SHARDS)
+        resave = CacheStore(StorageLayout(root / "resave").cache_file)
         resave.save(reloaded, version)
         result.checks += 1
-        unstable = [index for index in range(self.SHARDS)
-                    if layout.shard_path(index).read_bytes()
-                    != resave.layout.shard_path(index).read_bytes()]
-        if unstable:
+        if disk.path.read_bytes() != resave.path.read_bytes():
             result.failures.append(Failure(
                 self.name, "cache-resave-stable",
-                f"re-saving the reloaded cache changed shard file(s) "
-                f"{unstable}"))
+                "re-saving the reloaded cache changed the cache "
+                "document"))
         key = query_key(case.query)
         result.checks += 1
         answer = reloaded.lookup(case.query, version)
@@ -802,7 +793,7 @@ class PersistOracle:
         self._check_maintenance(case, reloaded, key, expected.get(key),
                                 version, result)
 
-    def _check_maintenance(self, case: Case, cache: ShardedQueryCache,
+    def _check_maintenance(self, case: Case, cache: QueryCache,
                            key: str, canonical_answer: str | None,
                            version: int, result: OracleResult) -> None:
         labels = statement_labels(case.query, case.constraints)

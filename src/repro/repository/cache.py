@@ -177,22 +177,17 @@ class QueryCache:
             self._entries_changed()
 
     def insert(self, statement: Query, answer: OemDatabase,
-               version: int, *, key: str | None = None) -> CacheEntry:
+               version: int) -> CacheEntry:
         """Cache a (query, answer) pair; evicts LRU beyond capacity.
 
         A statement already cached (same canonical hash, so renamed or
         conjunct-reordered copies count) refreshes the existing entry --
         new answer, new version, moved to the LRU tail -- instead of
         inserting a duplicate that would evict a distinct entry.
-
-        *key* lets a caller that already canonicalized the statement
-        (the shard router hashes it to pick a shard) skip the second
-        hash; it must equal ``query_key(statement)``.
         """
         with self._lock:
             self._purge_stale(version)
-            if key is None:
-                key = query_key(statement)
+            key = query_key(statement)
             existing_name = self._by_key.get(key)
             if existing_name is not None:
                 entry = self.entries[existing_name]

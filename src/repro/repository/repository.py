@@ -14,9 +14,9 @@ Two optional substrates from :mod:`repro.storage` extend the facade to
 production shape:
 
 * :meth:`Repository.open` runs it over a :class:`~repro.storage
-  .durable.DurableStore` with the query cache sharded
-  (:class:`~repro.storage.shard.ShardedQueryCache`) and persisted per
-  shard -- :meth:`flush` / :meth:`close` write the warm cache back;
+  .durable.DurableStore` with the query cache persisted as one document
+  (:class:`~repro.storage.cachestore.CacheStore`) -- :meth:`flush` /
+  :meth:`close` write the warm cache back;
 * the mutation wrappers (:meth:`add_atomic` ...) propagate each update
   incrementally: views and cached answers whose statements provably
   cannot match the touched labels are patched in place, the rest are
@@ -59,23 +59,15 @@ class Repository:
     constraints: StructuralConstraints | None = None
     cache_capacity: int = 16
     cache_memoize: bool = True
-    cache_shards: int = 0
     metrics: object | None = None
     _cache_store: object | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.views = ViewManager(self.store)
-        if self.cache_shards > 0:
-            from ..storage.shard import ShardedQueryCache
-            self.cache = ShardedQueryCache(
-                shards=self.cache_shards, capacity=self.cache_capacity,
-                constraints=self.constraints, memoize=self.cache_memoize,
-                metrics=self.metrics)
-        else:
-            self.cache = QueryCache(capacity=self.cache_capacity,
-                                    constraints=self.constraints,
-                                    memoize=self.cache_memoize,
-                                    metrics=self.metrics)
+        self.cache = QueryCache(capacity=self.cache_capacity,
+                                constraints=self.constraints,
+                                memoize=self.cache_memoize,
+                                metrics=self.metrics)
 
     @classmethod
     def from_database(cls, db: OemDatabase,
@@ -97,29 +89,26 @@ class Repository:
 
         The base store loads snapshot + WAL
         (:class:`~repro.storage.durable.DurableStore`); the query cache
-        is sharded per the store manifest and warmed from the persisted
-        shard files (entries recorded against another store version are
-        discarded).  Pair with :meth:`flush` / :meth:`close` to write
-        the warm cache back.
+        is warmed from the persisted ``cache/cache.json`` document
+        (entries recorded against another store version are discarded).
+        Pair with :meth:`flush` / :meth:`close` to write the warm cache
+        back.
         """
-        from ..storage.cachestore import ShardedCacheStore
+        from ..storage.cachestore import CacheStore
         from ..storage.durable import DurableStore
         store = DurableStore.open(root, autocompact_ops=autocompact_ops,
                                   metrics=metrics)
         repo = cls(store, constraints=constraints,
                    cache_capacity=cache_capacity,
-                   cache_memoize=cache_memoize,
-                   cache_shards=max(1, store.cache_shards),
-                   metrics=metrics)
-        repo._cache_store = ShardedCacheStore(store.layout,
-                                              repo.cache_shards)
+                   cache_memoize=cache_memoize, metrics=metrics)
+        repo._cache_store = CacheStore(store.layout.cache_file)
         repo._cache_store.load(repo.cache, store.version)
         return repo
 
     # -- persistence ----------------------------------------------------------
 
     def flush(self) -> dict:
-        """Persist the warm cache shards and fsync the store's WAL."""
+        """Persist the warm cache and fsync the store's WAL."""
         stats = {"cache": None}
         if self._cache_store is not None:
             stats["cache"] = self._cache_store.save(self.cache,

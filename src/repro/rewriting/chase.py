@@ -162,11 +162,10 @@ def _saturate_unions(paths: list[Path]) -> list[Path]:
     Incremental worklist: each path registers, per shared-oid key, its
     prefixes and continuations; a *new* prefix grafts every continuation
     already at that key and a *new* continuation grafts onto every
-    prefix, so no pair is re-examined once processed (the legacy
-    :func:`_saturate_unions_legacy` recomputed all occurrences from
-    scratch every sweep).  Grafted paths join the worklist, so the
-    result is the same closure; output order is insertion order, which
-    -- unlike the legacy set-iteration -- is deterministic across
+    prefix, so no pair is re-examined once processed (a sweep that
+    recomputes all occurrences until nothing changes reaches the same
+    closure quadratically slower).  Grafted paths join the worklist;
+    output order is insertion order, so it is deterministic across
     processes.
 
     Terminates because paths are acyclic over a finite step alphabet.
@@ -207,47 +206,13 @@ def _saturate_unions(paths: list[Path]) -> list[Path]:
     return ordered
 
 
-def _saturate_unions_legacy(paths: list[Path]) -> list[Path]:
-    """Sweep-until-stable reference implementation (same closure)."""
-    seen = set(paths)
-    ordered = list(paths)
-    changed = True
-    while changed:
-        changed = False
-        occurrences: list[tuple[Path, int]] = [
-            (path, depth)
-            for path in ordered
-            for depth in range(len(path.steps))]
-        by_oid: dict[tuple[str, Term], list[tuple[Path, int]]] = {}
-        for path, depth in occurrences:
-            key = (path.source, path.steps[depth][0])
-            by_oid.setdefault(key, []).append((path, depth))
-        for group in by_oid.values():
-            if len(group) < 2:
-                continue
-            # Graft every continuation below the shared oid onto every
-            # prefix reaching it.
-            prefixes = {path.steps[:depth + 1] for path, depth in group}
-            for path, depth in group:
-                if depth == len(path.steps) - 1:
-                    continue  # leaf occurrence: nothing to graft
-                suffix = path.steps[depth + 1:]
-                for prefix in prefixes:
-                    grafted = Path(prefix + suffix, path.leaf, path.source)
-                    if grafted not in seen:
-                        seen.add(grafted)
-                        ordered.append(grafted)
-                        changed = True
-    return ordered
-
-
 def _drop_subsumed_empty_paths(paths: list[Path]) -> list[Path]:
     """Drop a ``{}``-leaf path whose steps are a prefix of a longer path.
 
     This realizes rule 3 (set-value union) under normal form: the union of
     ``{}`` with a non-empty set pattern is the non-empty one.  One pass
-    collects every proper step-prefix; membership replaces the legacy
-    all-pairs scan.
+    collects every proper step-prefix; membership replaces an all-pairs
+    scan.
     """
     proper_prefixes: set[tuple[str, tuple]] = set()
     for path in paths:
@@ -258,30 +223,13 @@ def _drop_subsumed_empty_paths(paths: list[Path]) -> list[Path]:
                     and (path.source, path.steps) in proper_prefixes)]
 
 
-def _drop_subsumed_empty_paths_legacy(paths: list[Path]) -> list[Path]:
-    """All-pairs reference implementation (same kept set)."""
-    kept: list[Path] = []
-    for path in paths:
-        if isinstance(path.leaf, SetPattern):
-            subsumed = any(
-                other is not path
-                and other.source == path.source
-                and len(other.steps) > len(path.steps)
-                and other.steps[:len(path.steps)] == path.steps
-                for other in paths)
-            if subsumed:
-                continue
-        kept.append(path)
-    return kept
-
-
 def _label_inference_step(query: Query, paths: list[Path],
                           constraints: StructuralConstraints) -> Query | None:
     """Bind every inferable variable label in one batch (Section 3.3).
 
-    Produces the same binding *sequence* as the one-at-a-time legacy
-    rule -- scan from the top, fire the first inferable position, rescan
-    -- but tracks fired bindings in a local map instead of substituting
+    Produces the same binding *sequence* as the one-at-a-time rule --
+    scan from the top, fire the first inferable position, rescan -- but
+    tracks fired bindings in a local map instead of substituting
     and re-normalizing the whole query per binding, then applies them
     with a single substitute/normalize.  Sound to batch: the chase only
     reaches label inference with the key dependency at fixpoint, and
@@ -328,34 +276,6 @@ def _label_inference_step(query: Query, paths: list[Path],
     return normalize(query.substitute(Substitution(bindings)))
 
 
-def _label_inference_step_legacy(query: Query, paths: list[Path],
-                                 constraints: StructuralConstraints
-                                 ) -> Query | None:
-    """Bind one inferable variable label (Section 3.3); None at fixpoint."""
-    for path in paths:
-        if path.source != constraints.source:
-            continue
-        for depth, (unused_oid, label) in enumerate(path.steps):
-            if not isinstance(label, Variable):
-                continue
-            inferred = None
-            if depth > 0:
-                parent_label = path.steps[depth - 1][1]
-                if isinstance(parent_label, Constant):
-                    if depth + 1 < len(path.steps):
-                        child_label = path.steps[depth + 1][1]
-                        if isinstance(child_label, Constant):
-                            inferred = constraints.infer_middle_label(
-                                parent_label.value, child_label.value)
-                    if inferred is None:
-                        inferred = constraints.only_child_label(
-                            parent_label.value)
-            if inferred is not None:
-                subst = Substitution({label: Constant(inferred)})
-                return normalize(query.substitute(subst))
-    return None
-
-
 def _labeled_fd_step(query: Query, paths: list[Path],
                      constraints: StructuralConstraints) -> Query | None:
     """One application of the regular chase on labeled FDs; None at fixpoint.
@@ -391,7 +311,7 @@ def _labeled_fd_step(query: Query, paths: list[Path],
 def chase(query: Query,
           constraints: StructuralConstraints | None = None,
           max_steps: int = 10_000, *,
-          tracer=None, budget=None, legacy: bool = False) -> Query:
+          tracer=None, budget=None) -> Query:
     """Chase *query* to a fixpoint; raises on contradiction.
 
     Applies, interleaved until none fires: the oid key-dependency rules
@@ -400,12 +320,6 @@ def chase(query: Query,
     ``chase`` span with an iteration counter; *budget* is ticked once
     per fixpoint iteration and may raise
     :class:`~repro.errors.BudgetExceededError`.
-
-    ``legacy=True`` selects the one-binding-per-iteration /
-    sweep-until-stable reference implementations of label inference and
-    union saturation -- same fixpoint, quadratically more rebuild work;
-    kept for differential benchmarking (``bench_chase``) and as the
-    provenance of the fast kernels.
     """
     tracer = tracer or NULL_TRACER
     with tracer.span("chase") as span:
@@ -416,21 +330,13 @@ def chase(query: Query,
             paths = query_paths(current)
             stepped = _key_dependency_step(current, paths)
             if stepped is None and constraints is not None:
-                if legacy:
-                    stepped = _label_inference_step_legacy(
-                        current, paths, constraints)
-                else:
-                    stepped = _label_inference_step(
-                        current, paths, constraints)
+                stepped = _label_inference_step(current, paths,
+                                                constraints)
                 if stepped is None:
                     stepped = _labeled_fd_step(current, paths, constraints)
             if stepped is None:
-                if legacy:
-                    saturated = _saturate_unions_legacy(paths)
-                    reduced = _drop_subsumed_empty_paths_legacy(saturated)
-                else:
-                    saturated = _saturate_unions(paths)
-                    reduced = _drop_subsumed_empty_paths(saturated)
+                reduced = _drop_subsumed_empty_paths(
+                    _saturate_unions(paths))
                 if set(reduced) != set(paths):
                     current = _rebuild(current, reduced)
                     continue

@@ -195,7 +195,7 @@ class ReproServer:
             from ..storage.durable import current_store_version
             self.layout = StorageLayout(self.config.cache_dir)
             if not self.layout.exists():
-                self.layout.create("db", cache_shards=8)
+                self.layout.create("db")
             pool_kwargs["registry"] = SessionRegistry(self.layout)
             pool_kwargs["store_version"] = \
                 current_store_version(self.layout)
@@ -522,10 +522,9 @@ class ReproServer:
                                labels={"table": table})
         if self.layout is not None:
             store = self._store_status()
-            if store is not None and "shard_entries" in store:
-                for index, entries in enumerate(store["shard_entries"]):
-                    registry.set_gauge("store.shard.entries", entries,
-                                       labels={"shard": str(index)})
+            if store is not None and "cache_entries" in store:
+                registry.set_gauge("store.cache.entries",
+                                   store["cache_entries"])
                 registry.set_gauge("store.persisted_sessions",
                                    store["persisted_sessions"])
                 registry.set_gauge("store.persisted_memo_entries",
@@ -535,33 +534,23 @@ class ReproServer:
         """The ``store`` section of ``/healthz`` (persistent mode only).
 
         Everything here is read from the storage directory, so it
-        reflects what a restart would find: the store version, cache
-        shard occupancy, persisted session memos, and the newest flush
+        reflects what a restart would find: the store version, persisted
+        cache entries, persisted session memos, and the newest flush
         timestamp (the max mtime over cache/session documents).
         """
         if self.layout is None:
             return None
-        from ..storage.durable import current_store_version
         from ..errors import StorageError
+        from ..storage import CacheStore
+        from ..storage.durable import current_store_version
         layout = self.layout
         try:
-            manifest = layout.read_manifest()
+            layout.read_manifest()
             version = current_store_version(layout)
         except StorageError as exc:
             return {"root": str(layout.root), "error": str(exc)}
-        shards = []
-        last_flush: float | None = None
-        for index in range(manifest.get("cache_shards", 0)):
-            path = layout.shard_path(index)
-            if not path.exists():
-                shards.append(0)
-                continue
-            last_flush = max(last_flush or 0.0, path.stat().st_mtime)
-            try:
-                document = json.loads(path.read_text(encoding="utf-8"))
-                shards.append(len(document.get("entries", [])))
-            except (OSError, ValueError):
-                shards.append(0)
+        cache = CacheStore(layout.cache_file).persisted()
+        last_flush = cache["written"]
         sessions = self.pool.registry.stats() \
             if self.pool.registry is not None else {"sessions": 0,
                                                     "entries": {}}
@@ -572,8 +561,7 @@ class ReproServer:
         return {
             "root": str(layout.root),
             "store_version": version,
-            "cache_shards": manifest.get("cache_shards", 0),
-            "shard_entries": shards,
+            "cache_entries": cache["entries"],
             "persisted_sessions": sessions["sessions"],
             "persisted_memo_entries": sum(sessions["entries"].values()),
             "last_flush": last_flush,

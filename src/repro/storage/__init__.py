@@ -1,4 +1,4 @@
-"""Disk-backed persistence: durable OEM store, sharded cache, memos.
+"""Disk-backed persistence: durable OEM store, query cache, memos.
 
 The paper's repository scenario (Section 1) answers queries from cached
 and materialized results; this package makes that state survive a
@@ -6,9 +6,9 @@ process restart using only the standard library:
 
 * :class:`DurableStore` -- the base OEM store as snapshot + WAL
   (:mod:`~repro.storage.durable`);
-* :class:`ShardedQueryCache` + :class:`ShardedCacheStore` -- the query
-  cache split across rendezvous-hashed shards and persisted per shard
-  (:mod:`~repro.storage.shard`, :mod:`~repro.storage.cachestore`);
+* :class:`CacheStore` -- the repository's one
+  :class:`~repro.repository.cache.QueryCache` persisted as one document
+  (:mod:`~repro.storage.cachestore`);
 * :class:`SessionRegistry` -- rewrite-result memos per server
   configuration (:mod:`~repro.storage.registry`);
 * :mod:`~repro.storage.maintenance` -- the sound label-overlap test
@@ -20,22 +20,18 @@ invalidation rules; the ``persist`` fuzz oracle cross-checks the whole
 stack round-trip.
 """
 
-from .cachestore import CacheStore, ShardedCacheStore
+from .cachestore import CacheStore
 from .durable import DurableStore
 from .format import STORAGE_SCHEMA_VERSION, StorageLayout
 from .maintenance import UpdateDelta, may_overlap, statement_labels
 from .registry import SessionRegistry
-from .shard import ShardedQueryCache, shard_for
 
 __all__ = [
     "STORAGE_SCHEMA_VERSION",
     "StorageLayout",
     "DurableStore",
     "CacheStore",
-    "ShardedCacheStore",
     "SessionRegistry",
-    "ShardedQueryCache",
-    "shard_for",
     "UpdateDelta",
     "may_overlap",
     "statement_labels",

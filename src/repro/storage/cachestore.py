@@ -1,6 +1,6 @@
-"""Persistence for :class:`~repro.repository.cache.QueryCache` shards.
+"""Persistence for the :class:`~repro.repository.cache.QueryCache`.
 
-Each shard serializes to one schema-versioned JSON document holding its
+The cache serializes to one schema-versioned JSON document holding its
 entries **sorted by canonical key** (so the file bytes depend only on
 the logical contents, never on insertion order) with an ``lru`` index
 recording the recency order to restore.  Statements round-trip through
@@ -10,9 +10,9 @@ JSON codec, so a reloaded entry is byte-identical to the saved one
 under re-serialization -- the ``persist`` oracle checks exactly that.
 
 Loading is **forgiving**: a cache document is an optimization, never
-the source of truth, so a missing file, an unknown schema version, a
-wrong shard count, or entries tagged with a different store version are
-silently discarded (counted in the returned stats) rather than raised.
+the source of truth, so a missing file, an unknown kind or schema
+version, or entries tagged with a different store version are silently
+discarded (counted in the returned stats) rather than raised.
 The store snapshot/WAL, by contrast, refuses to load anything
 questionable (:mod:`repro.storage.durable`).
 """
@@ -24,11 +24,9 @@ import json
 from ..oem.serialize import database_from_json, database_to_json
 from ..repository.cache import CacheEntry, QueryCache
 from ..tsl.serialize import query_from_json, query_to_json
-from .format import (KIND_CACHE_SHARD, STORAGE_SCHEMA_VERSION,
-                     StorageLayout, atomic_write_json)
-from .shard import ShardedQueryCache
+from .format import KIND_CACHE, STORAGE_SCHEMA_VERSION, atomic_write_json
 
-__all__ = ["CacheStore", "ShardedCacheStore"]
+__all__ = ["CacheStore"]
 
 
 def _entry_to_json(entry: CacheEntry, lru: int) -> dict:
@@ -56,47 +54,37 @@ def _entry_from_json(record: dict) -> CacheEntry:
 
 
 class CacheStore:
-    """Save/load one :class:`QueryCache` to/from one shard file."""
+    """Save/load a :class:`QueryCache` to/from one document at *path*."""
 
-    def __init__(self, path, *, shard: int = 0, shards: int = 1) -> None:
+    def __init__(self, path) -> None:
         self.path = path
-        self.shard = shard
-        self.shards = shards
 
     def save(self, cache: QueryCache, store_version: int) -> dict:
-        """Write the shard document crash-safely; returns save stats."""
+        """Write the cache document crash-safely; returns save stats."""
         entries = cache.snapshot_entries()
         records = [_entry_to_json(entry, lru) for lru, entry
                    in enumerate(entries)]
         records.sort(key=lambda record: record["key"])
         document = {
             "schema_version": STORAGE_SCHEMA_VERSION,
-            "kind": KIND_CACHE_SHARD,
-            "shard": self.shard,
-            "shards": self.shards,
+            "kind": KIND_CACHE,
             "store_version": store_version,
             "entries": records,
         }
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         size = atomic_write_json(self.path, document)
         return {"entries": len(records), "bytes": size}
 
     def load(self, cache: QueryCache, store_version: int) -> dict:
         """Restore entries valid at *store_version*; returns load stats.
 
-        Anything unusable -- absent file, foreign/newer schema, stale
-        shard geometry, entries from another store version -- is
-        dropped, not raised: a discarded cache only costs re-computation.
+        Anything unusable -- absent file, foreign kind or schema,
+        entries from another store version -- is dropped, not raised: a
+        discarded cache only costs re-computation.
         """
         stats = {"entries": 0, "dropped": 0}
-        try:
-            document = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return stats
-        if (not isinstance(document, dict)
-                or document.get("kind") != KIND_CACHE_SHARD
-                or document.get("schema_version") != STORAGE_SCHEMA_VERSION
-                or document.get("shard") != self.shard
-                or document.get("shards") != self.shards):
+        document = self._read()
+        if document is None:
             return stats
         records = document.get("entries", [])
         if document.get("store_version") != store_version:
@@ -115,37 +103,30 @@ class CacheStore:
         stats["dropped"] += len(entries) - len(cache)
         return stats
 
+    def persisted(self) -> dict:
+        """What the document on disk holds, without loading it.
 
-class ShardedCacheStore:
-    """Route a :class:`ShardedQueryCache` over the layout's shard files."""
+        ``entries`` is the persisted entry count (0 for an absent or
+        unusable document); ``written`` is the file's mtime, or None
+        when there is no file.  ``repro db stats`` and the server's
+        ``/healthz`` store section both report this.
+        """
+        try:
+            written = self.path.stat().st_mtime
+        except OSError:
+            return {"entries": 0, "written": None}
+        document = self._read()
+        entries = len(document.get("entries", [])) if document else 0
+        return {"entries": entries, "written": written}
 
-    def __init__(self, layout: StorageLayout, shards: int) -> None:
-        self.layout = layout
-        self.shards = shards
-        self.stores = [CacheStore(layout.shard_path(i), shard=i,
-                                  shards=shards) for i in range(shards)]
-
-    def save(self, cache: ShardedQueryCache, store_version: int) -> dict:
-        if cache.shard_count != self.shards:
-            raise ValueError(
-                f"cache has {cache.shard_count} shards, store expects "
-                f"{self.shards}")
-        self.layout.cache_dir.mkdir(parents=True, exist_ok=True)
-        totals = {"entries": 0, "bytes": 0}
-        for store, shard in zip(self.stores, cache.shards):
-            outcome = store.save(shard, store_version)
-            totals["entries"] += outcome["entries"]
-            totals["bytes"] += outcome["bytes"]
-        return totals
-
-    def load(self, cache: ShardedQueryCache, store_version: int) -> dict:
-        if cache.shard_count != self.shards:
-            raise ValueError(
-                f"cache has {cache.shard_count} shards, store expects "
-                f"{self.shards}")
-        totals = {"entries": 0, "dropped": 0}
-        for store, shard in zip(self.stores, cache.shards):
-            outcome = store.load(shard, store_version)
-            totals["entries"] += outcome["entries"]
-            totals["dropped"] += outcome["dropped"]
-        return totals
+    def _read(self) -> dict | None:
+        """The parsed document, or None when it is absent or foreign."""
+        try:
+            document = json.loads(self.path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
+        if (not isinstance(document, dict)
+                or document.get("kind") != KIND_CACHE
+                or document.get("schema_version") != STORAGE_SCHEMA_VERSION):
+            return None
+        return document

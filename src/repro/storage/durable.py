@@ -81,11 +81,11 @@ class DurableStore(Store):
 
     @classmethod
     def create(cls, root: str | Path, name: str = "db", *,
-               cache_shards: int = 8, force: bool = False,
-               autocompact_ops: int = 0, metrics=None) -> "DurableStore":
+               force: bool = False, autocompact_ops: int = 0,
+               metrics=None) -> "DurableStore":
         """Initialize *root* and return the (empty) open store."""
         layout = StorageLayout(root)
-        layout.create(name, cache_shards, force=force)
+        layout.create(name, force=force)
         store = cls(layout, name, autocompact_ops=autocompact_ops,
                     metrics=metrics)
         store.compact()          # write the empty version-0 snapshot
@@ -120,10 +120,6 @@ class DurableStore(Store):
         store._count("store.opens")
         store._count("store.wal.replayed", len(records))
         return store
-
-    @property
-    def cache_shards(self) -> int:
-        return self.layout.read_manifest().get("cache_shards", 0)
 
     def close(self) -> None:
         """Flush and release the WAL handle (reopen-safe)."""

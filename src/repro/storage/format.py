@@ -10,7 +10,7 @@ same bytes (``db stats`` and snapshot diffs are byte-stable).
 
 Durability is the classic two-tier scheme:
 
-* **snapshots** (the store image, cache shards, session memos) are
+* **snapshots** (the store image, the query cache, session memos) are
   written to a temporary file in the same directory, fsynced, and
   atomically renamed over the target -- a crash leaves either the old
   or the new file, never a torn one;
@@ -20,14 +20,18 @@ Durability is the classic two-tier scheme:
 A store *root* directory is laid out as::
 
     ROOT/
-      MANIFEST.json            # name, schema version, shard count
+      MANIFEST.json            # name, schema version
       store/
         snapshot.json          # the OEM image at some version
         wal.jsonl              # updates since the snapshot
       cache/
-        shard-00.json ...      # persisted QueryCache shards
+        cache.json             # the persisted QueryCache
       sessions/
         session-<key>.json     # persisted RewriteSession result memos
+
+Nothing else under ``cache/`` is read, and manifest fields this build
+does not know are ignored: a root written when the cache was split
+across several documents opens with its store intact and a cold cache.
 """
 
 from __future__ import annotations
@@ -45,11 +49,11 @@ STORAGE_SCHEMA_VERSION = 1
 #: ``kind`` markers, one per document type.
 KIND_MANIFEST = "repro-store-manifest"
 KIND_SNAPSHOT = "repro-store-snapshot"
-KIND_CACHE_SHARD = "repro-cache-shard"
+KIND_CACHE = "repro-query-cache"
 KIND_SESSION_MEMO = "repro-session-memo"
 
 __all__ = ["STORAGE_SCHEMA_VERSION", "KIND_MANIFEST", "KIND_SNAPSHOT",
-           "KIND_CACHE_SHARD", "KIND_SESSION_MEMO", "StorageLayout",
+           "KIND_CACHE", "KIND_SESSION_MEMO", "StorageLayout",
            "atomic_write_json", "read_document", "check_document"]
 
 
@@ -125,11 +129,12 @@ class StorageLayout:
         return self.root / "cache"
 
     @property
+    def cache_file(self) -> Path:
+        return self.cache_dir / "cache.json"
+
+    @property
     def sessions_dir(self) -> Path:
         return self.root / "sessions"
-
-    def shard_path(self, shard: int) -> Path:
-        return self.cache_dir / f"shard-{shard:02d}.json"
 
     def session_path(self, key: str) -> Path:
         return self.sessions_dir / f"session-{key}.json"
@@ -139,8 +144,7 @@ class StorageLayout:
 
     # -- manifest --------------------------------------------------------------
 
-    def create(self, name: str, cache_shards: int, *,
-               force: bool = False) -> dict:
+    def create(self, name: str, *, force: bool = False) -> dict:
         """Initialize the directory tree and write the manifest."""
         if self.exists() and not force:
             raise StorageError(
@@ -153,7 +157,6 @@ class StorageLayout:
             "schema_version": STORAGE_SCHEMA_VERSION,
             "kind": KIND_MANIFEST,
             "name": name,
-            "cache_shards": cache_shards,
         }
         atomic_write_json(self.manifest, manifest)
         return manifest

@@ -16,7 +16,7 @@ rewriting (query, composition rules, views used) and the run's stats.
 What does not: the EXPLAIN decision log (``explanation`` reloads as
 ``None``) -- an ``explain=True`` lookup then treats the entry as a miss
 and recomputes, which is exactly the memo's documented upgrade path.
-Like the cache shards, session documents are an optimization: anything
+Like the cache document, session documents are an optimization: anything
 unreadable or written against a different schema/store version is
 silently discarded, never trusted.
 """

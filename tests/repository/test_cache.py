@@ -8,7 +8,8 @@ from repro.obs import MetricsRegistry
 from repro.oem import identical
 from repro.oem.model import OemDatabase
 from repro.repository import QueryCache
-from repro.tsl import evaluate
+from repro.rewriting.canon import query_key
+from repro.tsl import evaluate, parse_query
 from repro.tsl.ast import Query
 from repro.workloads import conference_query, sigmod_97_query
 
@@ -65,6 +66,25 @@ class TestHitMissStats:
         assert counters["cache.lookup.misses"] == 1
         # The shared session's memo tables report under cache.* too.
         assert counters.get("cache.misses", 0) > 0
+
+    @pytest.mark.parametrize("probe", [
+        "<ans(P) pub {<B booktitle 'SIGMOD'>}> :- "
+        "<P pub {<B booktitle 'SIGMOD'>}>@db",
+        "<ans(Q) pub {<Z booktitle 'SIGMOD'>}> :- "
+        "<Q pub {<Z booktitle 'SIGMOD'>}>@db",
+    ], ids=["identical", "renamed"])
+    def test_exact_hash_hit_serves_the_entry_itself(self, db, probe):
+        metrics = MetricsRegistry()
+        cache = QueryCache(metrics=metrics)
+        statement = parse_query(
+            "<ans(P) pub {<B booktitle 'SIGMOD'>}> :- "
+            "<P pub {<B booktitle 'SIGMOD'>}>@db")
+        answer = answer_for(statement, db)
+        entry = cache.insert(statement, answer, 0)
+        assert entry.key == query_key(statement)
+        assert cache.has_key(query_key(parse_query(probe)))
+        assert cache.lookup(parse_query(probe), 0) is answer
+        assert metrics.snapshot()["counters"]["cache.lookup.exact"] == 1
 
 
 class TestEviction:

@@ -5,9 +5,12 @@ Covers the PR's tentpole invariant -- the indexed mapping search is
 same order) -- plus the satellite fixes: the most-constrained-first sort
 key counts constants and bound variables, ``component_mapping`` returns
 substitutions over fully un-renamed domains, the fast chase kernels
-agree with their legacy counterparts, view plans are cached per session,
+agree with the reference kernels kept here, view plans are cached per
+session,
 and the ``rewrite.index.*`` metrics / ``path_index`` flag plumbing.
 """
+
+import importlib
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.rewriting import (PathIndex, RewriteSession, ViewPlan,
                              statically_compatible)
 from repro.rewriting.canon import program_key, query_key
 from repro.rewriting.chase import chase
+from repro.rewriting.constraints import ChildSpec, Dtd
 from repro.rewriting.equivalence import prepare_program
 from repro.rewriting.mappings import (_unrename, body_mappings,
                                       component_mapping, coverage,
@@ -26,8 +30,10 @@ from repro.rewriting.mappings import (_unrename, body_mappings,
                                       rename_paths_apart)
 from repro.rewriting.rewriter import RewriteStats
 from repro.tsl import parse_query, query_paths
+from repro.tsl.ast import SetPattern
 from repro.tsl.decompose import decompose_program
-from repro.logic.terms import Variable
+from repro.tsl.normalize import Path, normalize
+from repro.logic.terms import Constant, Variable
 from repro.workloads import (condition_view, k_conditions_query, query_q3,
                              query_q7, star_query, star_view, view_v1)
 
@@ -198,6 +204,117 @@ class TestIndexedScanParity:
 # --------------------------------------------------------------------------
 # Fast chase kernels vs their legacy counterparts
 # --------------------------------------------------------------------------
+#
+# The quadratic kernels the worklist / batched ones in
+# ``repro.rewriting.chase`` replaced: same fixpoint, more rebuild work.
+# They live here as the reference the fast kernels are checked against.
+
+def saturate_unions_legacy(paths):
+    """Sweep-until-stable union saturation (same closure)."""
+    seen = set(paths)
+    ordered = list(paths)
+    changed = True
+    while changed:
+        changed = False
+        by_oid = {}
+        for path in ordered:
+            for depth in range(len(path.steps)):
+                key = (path.source, path.steps[depth][0])
+                by_oid.setdefault(key, []).append((path, depth))
+        for group in by_oid.values():
+            if len(group) < 2:
+                continue
+            # Graft every continuation below the shared oid onto every
+            # prefix reaching it.
+            prefixes = {path.steps[:depth + 1] for path, depth in group}
+            for path, depth in group:
+                if depth == len(path.steps) - 1:
+                    continue  # leaf occurrence: nothing to graft
+                suffix = path.steps[depth + 1:]
+                for prefix in prefixes:
+                    grafted = Path(prefix + suffix, path.leaf, path.source)
+                    if grafted not in seen:
+                        seen.add(grafted)
+                        ordered.append(grafted)
+                        changed = True
+    return ordered
+
+
+def drop_subsumed_empty_paths_legacy(paths):
+    """All-pairs scan for ``{}``-leaf paths under a longer path."""
+    kept = []
+    for path in paths:
+        if isinstance(path.leaf, SetPattern):
+            subsumed = any(
+                other is not path
+                and other.source == path.source
+                and len(other.steps) > len(path.steps)
+                and other.steps[:len(path.steps)] == path.steps
+                for other in paths)
+            if subsumed:
+                continue
+        kept.append(path)
+    return kept
+
+
+def label_inference_step_legacy(query, paths, constraints):
+    """Bind one inferable variable label (Section 3.3); None at fixpoint."""
+    for path in paths:
+        if path.source != constraints.source:
+            continue
+        for depth, (_oid, label) in enumerate(path.steps):
+            if not isinstance(label, Variable):
+                continue
+            inferred = None
+            if depth > 0:
+                parent_label = path.steps[depth - 1][1]
+                if isinstance(parent_label, Constant):
+                    if depth + 1 < len(path.steps):
+                        child_label = path.steps[depth + 1][1]
+                        if isinstance(child_label, Constant):
+                            inferred = constraints.infer_middle_label(
+                                parent_label.value, child_label.value)
+                    if inferred is None:
+                        inferred = constraints.only_child_label(
+                            parent_label.value)
+            if inferred is not None:
+                subst = Substitution({label: Constant(inferred)})
+                return normalize(query.substitute(subst))
+    return None
+
+
+LEGACY_KERNELS = {
+    "_saturate_unions": saturate_unions_legacy,
+    "_drop_subsumed_empty_paths": drop_subsumed_empty_paths_legacy,
+    "_label_inference_step": label_inference_step_legacy,
+}
+
+
+def chain_dtd():
+    """l1 -> l2 -> l3 -> l4, one child each: every label is inferable."""
+    dtd = Dtd(source="db")
+    for level in range(1, 4):
+        dtd.declare(f"l{level}", [ChildSpec(f"l{level + 1}", "1")])
+    return dtd.declare_atomic("l4")
+
+
+def variable_label_chain():
+    """Label inference must bind L2 and L3 (under :func:`chain_dtd`)."""
+    return parse_query("<f(X1) result V> :- "
+                       "<X1 l1 {<X2 L2 {<X3 L3 {<X4 l4 V>}>}>}>@db")
+
+
+def shared_oid_query():
+    """P is reached through R and S: union saturation grafts both ways."""
+    return parse_query("<f(P) r V> :- <R r {<P a {<X b V>}>}>@db AND "
+                       "<S s {<P a {<Y c W>}>}>@db")
+
+
+def shared_empty_set_query():
+    """After grafting, the ``{}`` path under R is subsumed and dropped."""
+    return parse_query("<f(P) r W> :- <R r {<P a {}>}>@db AND "
+                       "<S s {<P a {<Y c W>}>}>@db")
+
 
 class TestChaseLegacyParity:
     CASES = [
@@ -208,14 +325,26 @@ class TestChaseLegacyParity:
         (view_v1, "dtd"),
         (lambda: star_query(4), None),
         (lambda: k_conditions_query(5), None),
+        # The cases above reach none of the three kernels' rewrites;
+        # each of these does (checked by breaking each kernel in turn).
+        (variable_label_chain, "chain"),
+        (shared_oid_query, None),
+        (shared_empty_set_query, None),
     ]
 
     @pytest.mark.parametrize("make_query,constraints", CASES)
-    def test_fast_and_legacy_chase_agree(self, make_query, constraints):
-        dtd = paper_dtd() if constraints == "dtd" else None
+    def test_fast_and_legacy_chase_agree(self, make_query, constraints,
+                                         monkeypatch):
+        dtd = {"dtd": paper_dtd, "chain": chain_dtd,
+               None: lambda: None}[constraints]()
         query = make_query()
-        assert query_key(chase(query, dtd)) == \
-            query_key(chase(query, dtd, legacy=True))
+        fast = query_key(chase(query, dtd))
+        # ``repro.rewriting.chase`` is shadowed by the function of the
+        # same name on the package, so fetch the module itself.
+        module = importlib.import_module("repro.rewriting.chase")
+        for name, reference in LEGACY_KERNELS.items():
+            monkeypatch.setattr(module, name, reference)
+        assert query_key(chase(query, dtd)) == fast
 
     def test_fast_chase_is_deterministic(self):
         dtd = paper_dtd()

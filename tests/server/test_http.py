@@ -86,9 +86,10 @@ class TestPersistentHealthz:
             store = body["store"]
             # No snapshot or WAL yet: the version is unknown, not 0.
             assert store["store_version"] is None
-            assert store["cache_shards"] == 8
-            assert store["shard_entries"] == [0] * 8
+            assert store["cache_entries"] == 0
             assert store["persisted_sessions"] == 0
+            _status, text = persistent.get("/metrics")
+            assert "repro_store_cache_entries 0" in text
             # Warm one session; shutdown flushes its memo to disk.
             assert persistent.post("/rewrite", rewrite_body())[0] == 200
 

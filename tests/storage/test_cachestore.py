@@ -1,4 +1,4 @@
-"""Cache-shard persistence: exact round trips, forgiving loads."""
+"""Query-cache persistence: exact round trips, forgiving loads."""
 
 import json
 
@@ -6,8 +6,6 @@ import pytest
 
 from repro.oem.serialize import database_to_json
 from repro.repository.cache import QueryCache
-from repro.rewriting.canon import query_key
-from repro.storage import ShardedCacheStore, ShardedQueryCache, StorageLayout
 from repro.storage.cachestore import CacheStore
 from repro.tsl.evaluator import evaluate
 from repro.tsl.parser import parse_query
@@ -20,14 +18,17 @@ QUERIES = (
     "<people(P) rec N> :- <P person {<X name N>}>@db",
 )
 
+#: Answers any single-field ``pub`` selection by rewriting.
+ALL_PUB_FIELDS = "<v(P) pub {<c(P,L,W) L W>}> :- <P pub {<X L W>}>@db"
+
 
 def canonical(db) -> str:
     return json.dumps(database_to_json(db, sort_oids=True), sort_keys=True)
 
 
-def filled_cache(shards: int = 2, version: int = 3) -> ShardedQueryCache:
+def filled_cache(version: int = 3) -> QueryCache:
     db = figure3_database()
-    cache = ShardedQueryCache(shards=shards, capacity=16)
+    cache = QueryCache(capacity=16)
     for text in QUERIES:
         query = parse_query(text)
         cache.insert(query, evaluate(query, db), version)
@@ -97,15 +98,17 @@ class TestSingleShard:
         assert len(fresh) == 0
 
     def test_wrong_shard_geometry_is_discarded(self, tmp_path):
-        db = figure3_database()
-        cache = QueryCache(capacity=8)
-        query = parse_query(QUERIES[0])
-        cache.insert(query, evaluate(query, db), 1)
+        # A per-shard document from the layout that split the cache
+        # across several files is a foreign kind: never loaded.
         path = tmp_path / "shard.json"
-        CacheStore(path, shard=0, shards=2).save(cache, 1)
+        CacheStore(path).save(filled_cache(version=1), 1)
+        document = json.loads(path.read_text())
+        document.update(kind="repro-cache-shard", shard=0, shards=2)
+        path.write_text(json.dumps(document))
         fresh = QueryCache(capacity=8)
-        assert CacheStore(path, shard=0, shards=4).load(fresh, 1) \
+        assert CacheStore(path).load(fresh, 1) \
             == {"entries": 0, "dropped": 0}
+        assert CacheStore(path).persisted()["entries"] == 0
 
     def test_restore_respects_capacity(self, tmp_path):
         db = figure3_database()
@@ -124,36 +127,31 @@ class TestSingleShard:
         originals = [e.key for e in cache.snapshot_entries()]
         assert survivors == set(originals[-2:])
 
+    @pytest.mark.parametrize("probe", [
+        QUERIES[0],
+        "<ans(P) pub {<Z booktitle 'SIGMOD'>}> :- "
+        "<P pub {<Z booktitle 'SIGMOD'>}>@db",
+        "<ans(P) pub {<c2(P) title T>}> :- <P pub {<X title T>}>@db",
+    ], ids=["exact", "renamed", "rewrite"])
+    def test_reloaded_cache_answers_like_the_original(self, tmp_path,
+                                                      probe):
+        cache = filled_cache()
+        view = parse_query(ALL_PUB_FIELDS)
+        cache.insert(view, evaluate(view, figure3_database()), 3)
+        store = CacheStore(tmp_path / "cache" / "cache.json")
+        store.save(cache, store_version=3)
+        reloaded = QueryCache(capacity=16)
+        store.load(reloaded, store_version=3)
+        query = parse_query(probe)
+        expected = cache.lookup(query, 3)
+        assert expected is not None
+        assert canonical(reloaded.lookup(query, 3)) == canonical(expected)
+        assert reloaded.stats.hits == 1
 
-class TestShardedStore:
-    def test_round_trip_through_layout(self, tmp_path):
-        layout = StorageLayout(tmp_path / "root")
-        cache = filled_cache(shards=2)
-        disk = ShardedCacheStore(layout, shards=2)
-        saved = disk.save(cache, store_version=3)
-        assert saved["entries"] == 3
-        reloaded = ShardedQueryCache(shards=2, capacity=16)
-        loaded = disk.load(reloaded, store_version=3)
-        assert loaded == {"entries": 3, "dropped": 0}
-        query = parse_query(QUERIES[0])
-        assert reloaded.has_key(query_key(query))
-        hit = reloaded.lookup(query, version=3)
-        assert canonical(hit) == canonical(
-            evaluate(query, figure3_database()))
-
-    def test_shard_count_mismatch_raises(self, tmp_path):
-        layout = StorageLayout(tmp_path / "root")
-        disk = ShardedCacheStore(layout, shards=2)
-        with pytest.raises(ValueError):
-            disk.save(ShardedQueryCache(shards=4, capacity=16), 1)
-        with pytest.raises(ValueError):
-            disk.load(ShardedQueryCache(shards=4, capacity=16), 1)
-
-    def test_entries_land_on_their_owning_shard_files(self, tmp_path):
-        layout = StorageLayout(tmp_path / "root")
-        cache = filled_cache(shards=2)
-        ShardedCacheStore(layout, shards=2).save(cache, 3)
-        for index, shard in enumerate(cache.shards):
-            document = json.loads(layout.shard_path(index).read_text())
-            assert document["shard"] == index
-            assert len(document["entries"]) == len(shard)
+    def test_persisted_counts_entries_without_loading(self, tmp_path):
+        store = CacheStore(tmp_path / "cache.json")
+        assert store.persisted() == {"entries": 0, "written": None}
+        store.save(filled_cache(), store_version=3)
+        persisted = store.persisted()
+        assert persisted["entries"] == len(QUERIES)
+        assert persisted["written"] == store.path.stat().st_mtime

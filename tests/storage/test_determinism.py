@@ -2,7 +2,7 @@
 
 Satellite of the persistence PR: snapshots iterate oids in sorted
 order and every persisted document sorts its keys and content, so
-``repro db stats``, store snapshots, and cache shard files can be
+``repro db stats``, store snapshots, and the cache document can be
 diffed (and content-addressed) across runs and across machines.
 """
 
@@ -13,8 +13,8 @@ from repro.cli import main
 from repro.oem import dumps
 from repro.oem.model import OemDatabase
 from repro.oem.serialize import database_to_json
-from repro.storage import (DurableStore, ShardedCacheStore,
-                           ShardedQueryCache, StorageLayout)
+from repro.repository.cache import QueryCache
+from repro.storage import CacheStore, DurableStore, StorageLayout
 from repro.tsl.evaluator import evaluate
 from repro.tsl.parser import parse_query
 from repro.workloads import figure3_database, generate_bibliography
@@ -82,17 +82,15 @@ class TestCacheShardBytes:
         query = parse_query(
             "<ans(P) pub {<B booktitle 'SIGMOD'>}> :- "
             "<P pub {<B booktitle 'SIGMOD'>}>@db")
-        cache = ShardedQueryCache(shards=2, capacity=8)
+        cache = QueryCache(capacity=8)
         cache.insert(query, evaluate(query, db), 1)
-        first = ShardedCacheStore(StorageLayout(tmp_path / "a"), 2)
+        first = CacheStore(StorageLayout(tmp_path / "a").cache_file)
         first.save(cache, 1)
-        reloaded = ShardedQueryCache(shards=2, capacity=8)
+        reloaded = QueryCache(capacity=8)
         first.load(reloaded, 1)
-        second = ShardedCacheStore(StorageLayout(tmp_path / "b"), 2)
+        second = CacheStore(StorageLayout(tmp_path / "b").cache_file)
         second.save(reloaded, 1)
-        for index in range(2):
-            assert first.layout.shard_path(index).read_bytes() \
-                == second.layout.shard_path(index).read_bytes()
+        assert first.path.read_bytes() == second.path.read_bytes()
 
 
 class TestDbStatsCli:
@@ -110,7 +108,7 @@ class TestDbStatsCli:
         payload = json.loads(first)
         assert payload["store"]["objects"] == 7
         assert payload["store"]["version"] > 0
-        assert payload["cache"]["shards"] == 8
+        assert payload["cache"] == {"entries": 0}
         assert payload["sessions"] == {"sessions": 0, "entries": {}}
 
     def test_db_stats_stable_across_flush_and_compact(self, tmp_path,
