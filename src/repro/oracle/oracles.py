@@ -20,11 +20,13 @@ containment
 metamorphic
     Relations that must hold between pipeline stages without knowing the
     expected output: the chase and normal form preserve evaluation, the
-    chase is idempotent, printing then parsing is the identity, and
-    composing a probe query with a view is semantically the same as
-    evaluating the probe over the materialized view -- including through
-    a stack of two views, where one-shot and stepwise composition must
-    agree (associativity of view inlining).
+    chase is idempotent, printing then parsing is the identity,
+    canonicalizing a canonical form returns it with its key unchanged
+    (also on a self-join copy of the body, so cases reach more than ten
+    variables), and composing a probe query with a view is semantically
+    the same as evaluating the probe over the materialized view --
+    including through a stack of two views, where one-shot and stepwise
+    composition must agree (associativity of view inlining).
 
 memo
     Memoization transparency: rewriting through a
@@ -83,6 +85,7 @@ from ..oem.equivalence import explain_difference, identical
 from ..oem.model import OemDatabase
 from ..oem.serialize import database_to_json
 from ..repository.cache import QueryCache
+from ..rewriting import canon
 from ..rewriting.canon import query_key
 from ..rewriting.chase import chase
 from ..rewriting.composition import compose
@@ -408,9 +411,29 @@ class MetamorphicOracle:
                     self.name, "print-parse-roundtrip",
                     f"{label} did not survive print->parse: {text}"))
 
+        self._check_canon_fixpoint(case, chased, result)
         self._check_composition(case, result)
         self._check_stacked_composition(case, result)
         return result
+
+    def _check_canon_fixpoint(self, case: Case, chased: Query,
+                              result: OracleResult) -> None:
+        """A canonical form canonicalizes to itself, key and all."""
+        query = case.query
+        self_join = Query(query.head,
+                          query.body + query.rename_apart("_sj").body)
+        for label, candidate in [("query", query), ("chased", chased),
+                                 ("self-join", self_join),
+                                 *((f"view:{n}", v)
+                                   for n, v in sorted(case.views.items()))]:
+            result.checks += 1
+            first = canon.canonicalize(candidate)
+            again = canon.canonicalize(first.query)
+            if again.query != first.query or again.key != first.key:
+                result.failures.append(Failure(
+                    self.name, "canon-fixpoint",
+                    f"{label}: canonicalizing the canonical form "
+                    f"{first.query} gave {again.query}"))
 
     def _probe(self, mv: OemDatabase, seed: int) -> Query | None:
         if not mv.roots:

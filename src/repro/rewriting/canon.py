@@ -11,8 +11,24 @@ a **variable-order-independent canonical form**:
 * every variable is renamed apart to a De Bruijn-style index ``$0, $1,
   ...`` assigned by first occurrence scanning the head and then the
   sorted body;
-* the sort/number passes iterate to a fixpoint so ties between
-  structurally identical conjuncts resolve deterministically.
+* refinement passes re-sort the body by each conjunct's rendering under
+  the current numbering and renumber, until order and numbering are a
+  fixpoint, so ties between structurally identical conjuncts resolve by
+  variable wiring.
+
+**Ordering rule.**  The refinement sort key renders index ``n < 10`` as
+``$n`` and index ``n >= 10`` as ``$:`` plus a zero-padded number (``:``
+sorts after every digit), so conjuncts are ordered by their indices
+numerically.  Sorting the rendered text instead put ``$10`` before
+``$2``, against the numbering, so on queries with more than ten
+variables a pass could undo the previous one and the result depended
+on the pass bound.  ``_MAX_PASSES`` is a safety net only.
+
+**Compatibility.**  On a query with at most ten canonical variables the
+sort key *is* the canonical rendering, so its canonical form, renaming
+and key are byte-identical to those of the string-ordered refinement
+(``tests/rewriting/test_canon.py`` keeps that loop as the reference);
+wider queries may get new keys.
 
 The canonical form is itself a :class:`~repro.tsl.ast.Query` (same
 head structure, path-normal body), so it round-trips through the whole
@@ -45,8 +61,9 @@ from ..tsl.normalize import normalize
 #: parsed ones (mirrors the ``†`` marker of :mod:`.mappings`).
 CANON_STEM = "$"
 
-#: Fixpoint bound for the sort/renumber refinement.  Two passes settle
-#: every query the generators produce; the bound is a safety net.
+#: Fixpoint bound for the sort/renumber refinement, a safety net: with
+#: numerically ordered indices every served and generated query settles
+#: in at most a few passes.
 _MAX_PASSES = 8
 
 
@@ -82,15 +99,8 @@ def _pattern_skeleton(pattern: ObjectPattern) -> str:
             f"{_term_skeleton(pattern.label)} {rendered}>")
 
 
-@lru_cache(maxsize=65536)
 def _condition_skeleton(condition: Condition) -> str:
     return f"{_pattern_skeleton(condition.pattern)}@{condition.source}"
-
-
-@lru_cache(maxsize=65536)
-def _condition_str(condition: Condition) -> str:
-    """``str(condition)``, cached -- rendering dominates refinement."""
-    return str(condition)
 
 
 # --------------------------------------------------------------------------
@@ -146,19 +156,78 @@ def _collect_variables(term, out: list[Variable]) -> None:
         _collect_variables(term.value, out)
 
 
-def _number_variables(head: ObjectPattern | None,
-                      body: Sequence[Condition]) -> Substitution:
-    """First-occurrence De Bruijn numbering over head then body."""
-    occurrences: list[Variable] = []
-    if head is not None:
-        _collect_variables(head, occurrences)
-    for condition in body:
-        _collect_variables(condition.pattern, occurrences)
-    forward: dict[Variable, Variable] = {}
-    for variable in occurrences:
-        if variable not in forward:
-            forward[variable] = Variable(f"{CANON_STEM}{len(forward)}")
-    return Substitution(forward)
+def _fill_template(node, pieces: list[str], slots: list[Variable]) -> None:
+    """Append *node*'s ``__str__`` text to *pieces* as ``str.format``
+    text, with a ``{}`` slot per variable occurrence recorded in *slots*
+    (the preorder of :func:`_collect_variables`)."""
+    if isinstance(node, Variable):
+        pieces.append("{}")
+        slots.append(node)
+    elif isinstance(node, ObjectPattern):
+        pieces.append("<")
+        _fill_template(node.oid, pieces, slots)
+        pieces.append(" ")
+        _fill_template(node.label, pieces, slots)
+        pieces.append(" ")
+        _fill_template(node.value, pieces, slots)
+        pieces.append(">")
+    elif isinstance(node, SetPatternTerm):
+        _fill_template(node.pattern, pieces, slots)
+    elif isinstance(node, SetPattern):
+        pieces.append("{{")
+        for i, pattern in enumerate(node.patterns):
+            if i:
+                pieces.append(" ")
+            _fill_template(pattern, pieces, slots)
+        pieces.append("}}")
+    elif isinstance(node, FunctionTerm):
+        pieces.append(f"{node.functor}(")
+        for i, arg in enumerate(node.args):
+            if i:
+                pieces.append(",")
+            _fill_template(arg, pieces, slots)
+        pieces.append(")")
+    else:
+        pieces.append(str(node).replace("{", "{{").replace("}", "}}"))
+
+
+@lru_cache(maxsize=65536)
+def _condition_form(condition: Condition
+                    ) -> tuple[str, str, tuple[Variable, ...]]:
+    """The condition's skeleton, and its rendering as a ``str.format``
+    template plus its variable occurrences: ``fmt.format(*(name(v) for v
+    in slots)) == str(condition)`` when every variable is named
+    ``name(v)``.  Cached -- the compositions Step 2 keys share most of
+    their conditions."""
+    pieces: list[str] = []
+    slots: list[Variable] = []
+    _fill_template(condition.pattern, pieces, slots)
+    pieces.append("@" + condition.source.replace("{", "{{")
+                  .replace("}", "}}"))
+    return _condition_skeleton(condition), "".join(pieces), tuple(slots)
+
+
+def _first_occurrence(slot_lists: Iterable[Sequence[int]],
+                      count: int) -> list[int]:
+    """First-occurrence De Bruijn numbering of variables ``0..count-1``
+    over the slot lists: ``rank[variable]``."""
+    rank = [-1] * count
+    assigned = 0
+    for slots in slot_lists:
+        for variable in slots:
+            if rank[variable] < 0:
+                rank[variable] = assigned
+                assigned += 1
+    return rank
+
+
+def _sort_names(count: int) -> list[str]:
+    """Sort-key spelling of indices ``0..count-1``, in numeric order:
+    ``$n`` below ten (the canonical name itself), ``$:`` plus a
+    zero-padded number from ten on."""
+    width = len(str(count))
+    return [f"{CANON_STEM}{n}" if n < 10 else f"{CANON_STEM}:{n:0{width}d}"
+            for n in range(count)]
 
 
 @dataclass(frozen=True)
@@ -188,25 +257,44 @@ def canonicalize(query: Query) -> Canonical:
     every memo probe, so repeated probes of the same query are free.
     """
     current = normalize(query)
-    body = list(current.body)
     # Initial sort ignores variable names entirely.
-    body.sort(key=_condition_skeleton)
-    forward = _number_variables(current.head, body)
+    forms = sorted(((_condition_form(c), c) for c in current.body),
+                   key=lambda item: item[0][0])
+    body = [c for _, c in forms]
+    fmts = [fmt for (_, fmt, _), _ in forms]
+    # Variables become small ints in first-occurrence order over head
+    # then body, which is also the initial numbering.
+    head_slots: list[Variable] = []
+    _collect_variables(current.head, head_slots)
+    ids: dict[Variable, int] = {}
+    head_ids = [ids.setdefault(v, len(ids)) for v in head_slots]
+    slot_ids = [[ids.setdefault(v, len(ids)) for v in slots]
+                for (_, _, slots), _ in forms]
+    count = len(ids)
+    labels = _sort_names(count)
+    order = list(range(len(body)))
+    rank = list(range(count))
     for _ in range(_MAX_PASSES):
-        # Refine: sort by the fully-rendered canonical conjunct (ties
-        # between equal skeletons now resolve by variable wiring), then
-        # renumber; stop when the order is stable.
-        rendered = [(_condition_str(intern_condition(c.substitute(forward))),
-                     c) for c in body]
-        rendered.sort(key=lambda item: item[0])
-        reordered = [c for _, c in rendered]
-        renumbered = _number_variables(current.head, reordered)
-        if reordered == body and renumbered == forward:
+        # Refine: sort by the conjunct rendered under the current
+        # numbering (ties between equal skeletons now resolve by
+        # variable wiring), then renumber; stop when both are stable.
+        names = [labels[r] for r in rank]
+        keys = [fmt.format(*[names[i] for i in slots])
+                for fmt, slots in zip(fmts, slot_ids)]
+        reordered = sorted(order, key=keys.__getitem__)
+        renumbered = _first_occurrence(
+            [head_ids, *(slot_ids[j] for j in reordered)], count)
+        if reordered == order and renumbered == rank:
             break
-        body, forward = reordered, renumbered
+        order, rank = reordered, renumbered
+    variables = list(ids)
+    forward = Substitution({
+        variables[i]: Variable(f"{CANON_STEM}{rank[i]}")
+        for i in sorted(range(count), key=rank.__getitem__)})
     return Canonical(
         Query(current.head.substitute(forward),
-              tuple(intern_condition(c.substitute(forward)) for c in body)),
+              tuple(intern_condition(body[j].substitute(forward))
+                    for j in order)),
         forward)
 
 
@@ -227,9 +315,10 @@ def query_key(query: Query) -> str:
 
 def condition_key(condition: Condition) -> str:
     """A stable hash of one condition up to variable renaming."""
-    forward = _number_variables(None, [condition])
-    return _digest(_condition_str(intern_condition(
-        condition.substitute(forward))))
+    _, fmt, slots = _condition_form(condition)
+    ids: dict[Variable, int] = {}
+    return _digest(fmt.format(*[f"{CANON_STEM}{ids.setdefault(v, len(ids))}"
+                                for v in slots]))
 
 
 def component_key(component: ComponentQuery) -> str:

@@ -511,29 +511,41 @@ class RewriteSession:
         stored without a decision log is treated as a miss (the caller
         recomputes and :meth:`store_result` upgrades the entry); the
         stored explanation is replayed so warm-session EXPLAIN output is
-        byte-identical to the cold run.  The lookup itself is timed into
-        ``phase.seconds{phase=memo_lookup}`` when the session has a
-        metrics registry.
+        byte-identical to the cold run.  The lookup is counted as a hit
+        or miss and timed into ``phase.seconds{phase=memo_lookup}`` when
+        the session has a metrics registry.
         """
         if not self.enabled:
             return None
         started = time.perf_counter() if self.metrics is not None else 0.0
         try:
-            probe = canonicalize(query)
-            value = self._results.peek((probe.key, flags))
-            if value is not _MISS:
-                stored, result, explanation = value
-                if stored == query and not (need_explanation
-                                            and explanation is None):
-                    self._results.record_hit()
-                    return result, explanation
-            self._results.record_miss()
-            return None
+            found = self.peek_result(query, flags,
+                                     need_explanation=need_explanation)
+            if found is None:
+                self._results.record_miss()
+            else:
+                self._results.record_hit()
+            return found
         finally:
             if self.metrics is not None:
                 self.metrics.observe(PHASE_SECONDS,
                                      time.perf_counter() - started,
                                      labels={"phase": "memo_lookup"})
+
+    def peek_result(self, query: Query, flags: tuple, *,
+                    need_explanation: bool = False):
+        """What :meth:`lookup_result` would return, without counting or
+        timing a lookup -- for a caller that decides how to call
+        :meth:`rewrite`, whose own lookup is the one that counts."""
+        if not self.enabled:
+            return None
+        value = self._results.peek((canonicalize(query).key, flags))
+        if value is _MISS:
+            return None
+        stored, result, explanation = value
+        if stored != query or (need_explanation and explanation is None):
+            return None
+        return result, explanation
 
     def store_result(self, query: Query, flags: tuple, result,
                      explain=None) -> None:

@@ -671,8 +671,10 @@ class ReproServer:
         ctx.query_key = query_key(request.query)
         session = self.pool.session_for(request.views,
                                         request.constraints, key)
-        memoized = session.lookup_result(request.query, request.flags,
-                                         need_explanation=request.explain)
+        # session.rewrite() performs (and counts) the one memo lookup of
+        # this request; peeking here only picks the EXPLAIN capture.
+        memoized = session.peek_result(request.query, request.flags,
+                                       need_explanation=request.explain)
         memo = "hit" if memoized is not None else "miss"
         ctx.memo = memo
         # Tail-based capture wants an EXPLAIN for every recorded search,

@@ -150,6 +150,21 @@ def test_corrupted_memo_hit_is_caught(monkeypatch):
         == {"rewrite-warm-differs"}
 
 
+def test_unsettled_canonical_form_is_caught(monkeypatch):
+    # The string-ordered refinement loop stops on its pass bound for
+    # some queries wider than ten variables, and the form it stops on
+    # canonicalizes to a different one: the metamorphic oracle's
+    # canon-fixpoint check (self-join copies reach that width) reports it.
+    from tests.rewriting.test_canon import _reference_canonicalize
+
+    canon_mod = importlib.import_module("repro.rewriting.canon")
+    monkeypatch.setattr(canon_mod, "canonicalize", _reference_canonicalize)
+    report = run_fuzz(FuzzConfig(seed=0, iterations=24,
+                                 oracles=("metamorphic",), shrink=False))
+    assert not report.ok
+    assert {f.invariant for f in report.failures} == {"canon-fixpoint"}
+
+
 def test_memo_oracle_compares_seeded_corpus(monkeypatch):
     # The green direction of satellite 4: a seeded campaign of the memo
     # oracle alone -- memoized (cold + warm) and unmemoized rewrite()

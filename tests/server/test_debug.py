@@ -197,6 +197,16 @@ class TestDebugState:
         assert len(session["config_key"]) == 32
         assert session["tables"]["rewrite"]["size"] >= 1
 
+    def test_one_request_counts_one_memo_lookup(self, srv):
+        srv.post("/rewrite", rewrite_body())    # miss, then stored
+        srv.post("/rewrite", rewrite_body())    # hit
+        _, text = srv.get("/metrics")
+        assert 'repro_phase_seconds_count{phase="memo_lookup"} 2' in text
+        _, body = srv.get("/debug/sessions")
+        (session,) = body["sessions"]
+        table = session["tables"]["rewrite"]
+        assert (table["hits"], table["misses"]) == (1, 1)
+
     def test_store_without_persistence(self, srv):
         status, body = srv.get("/debug/store")
         assert status == 200
