@@ -4,7 +4,9 @@
 Not a paper claim per se, but the cache and mediator experiments depend
 on evaluation cost scaling with data size; this bench pins that baseline
 and compares the direct evaluator against the Datalog-translation path
-(E13's slower twin).
+(E13's slower twin).  The ``agrees`` column says whether the two answers
+are identical: the direct evaluator is driven by the store's label and
+value indexes, the translation by none of them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import time
 
 from repro.logic.translate import evaluate_via_datalog
+from repro.oem import identical
 from repro.tsl import evaluate
 from repro.workloads import generate_bibliography, sigmod_97_query
 
@@ -34,24 +37,27 @@ def run_experiment() -> list[dict]:
         started = time.perf_counter()
         direct = evaluate_direct(db)
         t_direct = time.perf_counter() - started
-        t_translated = None
+        t_translated = agrees = None
         if size <= TRANSLATED_CAP:
             started = time.perf_counter()
-            evaluate_translated(db)
+            translated = evaluate_translated(db)
             t_translated = time.perf_counter() - started
+            agrees = identical(direct, translated)
         rows.append({"pubs": size, "answers": len(direct.roots),
-                     "direct_s": t_direct, "datalog_s": t_translated})
+                     "direct_s": t_direct, "datalog_s": t_translated,
+                     "agrees": agrees})
     return rows
 
 
 def print_table(rows: list[dict]) -> None:
     print(f"{'pubs':>6} {'answers':>8} {'direct(s)':>10} "
-          f"{'datalog(s)':>11}")
+          f"{'datalog(s)':>11} {'agrees':>7}")
     for row in rows:
         datalog = ("-" if row["datalog_s"] is None
                    else f"{row['datalog_s']:.3f}")
+        agrees = "-" if row["agrees"] is None else str(row["agrees"])
         print(f"{row['pubs']:>6} {row['answers']:>8} "
-              f"{row['direct_s']:>10.3f} {datalog:>11}")
+              f"{row['direct_s']:>10.3f} {datalog:>11} {agrees:>7}")
 
 
 # -- pytest-benchmark entry points ------------------------------------------
@@ -68,7 +74,6 @@ def test_translated_200(benchmark):
 
 
 def test_paths_agree():
-    from repro.oem import identical
     db = generate_bibliography(100, seed=3)
     assert identical(evaluate_direct(db), evaluate_translated(db))
 

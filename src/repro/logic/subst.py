@@ -68,6 +68,18 @@ class Substitution:
         updated[v] = t
         return Substitution(updated)
 
+    def extend(self, v: Variable, t: Term) -> "Substitution":
+        """Return a new substitution with ``v -> t`` added, leaving the
+        right-hand sides as they are.
+
+        Equal to :meth:`bind` whenever *v* occurs in no right-hand side,
+        as when every right-hand side is ground (TSL evaluation binds
+        variables to database terms only).
+        """
+        extended = Substitution.__new__(Substitution)
+        extended._mapping = {**self._mapping, v: t}
+        return extended
+
     def compose(self, other: "Substitution") -> "Substitution":
         """Return the composition ``self`` then ``other``.
 

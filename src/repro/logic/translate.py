@@ -24,9 +24,12 @@ recursion: once an answer object hangs a source set value, the source
 subgraph is copied by a transitive ``ans_copied`` closure over ``member``.
 
 Known, documented difference from the direct evaluator: set values are
-compared by set-object *oid* here, while the evaluator compares them by
-*member set*; the two differ only when a query joins one variable across
-two distinct set objects that happen to have identical member sets.
+named by set-object *oid* here (``setval(O)``), while the evaluator
+names them by *member set*.  The answers differ only when a query joins
+one variable across two distinct set objects that happen to have
+identical member sets, or when a head object id embeds a variable bound
+to a set value (the answer's oid then spells ``setval(O)`` here and the
+member set there).
 """
 
 from __future__ import annotations

@@ -9,10 +9,18 @@ or uninterpreted function terms such as ``f(10, ashish)``.
 The database is stored flat (adjacency-style) so that shared subobjects,
 DAGs, and cycles are all representable.  :class:`OemObject` offers a
 convenient navigational view over one object of a database.
+
+Like the label and value indexes (Lindex/Vindex) of the Lore repository
+the paper's Section 1 places rewriting in, a database keeps derived
+lookup structures for the evaluator: roots by label, atomic objects by
+label and value, and each object's parents.  The ``add_*`` methods keep
+them current whatever order objects, edges and roots arrive in; they are
+never serialized, since they follow from the objects, edges and roots.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable, Iterator, Union
 
 from ..errors import DuplicateOidError, OemError, UnknownOidError
@@ -27,6 +35,27 @@ def as_oid(value: OidLike) -> Oid:
     if isinstance(value, Term):
         return value
     return Constant(value)
+
+
+def _multi_add(table: dict, key: object, oid: Oid) -> None:
+    """Add *oid* under *key* of a compact multimap: a lone oid is stored
+    bare, two or more in a list (an oid is a term, never a list)."""
+    present = table.get(key)
+    if present is None:
+        table[key] = oid
+    elif type(present) is list:
+        present.append(oid)
+    else:
+        table[key] = [present, oid]
+
+
+def _multi_get(table: dict, key: object) -> tuple[Oid, ...]:
+    present = table.get(key)
+    if present is None:
+        return ()
+    if type(present) is list:
+        return tuple(present)
+    return (present,)
 
 
 class OemDatabase:
@@ -46,7 +75,14 @@ class OemDatabase:
         self._children: dict[Oid, list[Oid]] = {}
         self._child_sets: dict[Oid, set[Oid]] = {}
         self._roots: list[Oid] = []
-        self._root_set: set[Oid] = set()
+        # Derived lookups (see the module docstring).  Root -> position
+        # in ``_roots``; label -> its registered roots, in root order;
+        # label -> value -> atomic oids, in registration order; child ->
+        # parents, in edge order.  The last two are compact multimaps.
+        self._root_index: dict[Oid, int] = {}
+        self._roots_by_label: dict[Atom, list[Oid]] = {}
+        self._atoms_by_value: dict[Atom, dict[Atom, object]] = {}
+        self._parents: dict[Oid, object] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -65,6 +101,8 @@ class OemDatabase:
             return oid
         self._labels[oid] = label
         self._atoms[oid] = value
+        _multi_add(self._atoms_by_value.setdefault(label, {}), value, oid)
+        self._index_root_label(oid, label)
         return oid
 
     def add_set(self, oid: OidLike, label: Atom) -> Oid:
@@ -81,7 +119,14 @@ class OemDatabase:
         self._labels[oid] = label
         self._children[oid] = []
         self._child_sets[oid] = set()
+        self._index_root_label(oid, label)
         return oid
+
+    def _index_root_label(self, oid: Oid, label: Atom) -> None:
+        """File a newly registered object that is already a root."""
+        if oid in self._root_index:
+            insort(self._roots_by_label.setdefault(label, []), oid,
+                   key=self._root_index.__getitem__)
 
     def add_child(self, parent: OidLike, child: OidLike) -> None:
         """Add a subobject edge from *parent* to *child* (idempotent)."""
@@ -94,13 +139,17 @@ class OemDatabase:
         if child not in self._child_sets[parent]:
             self._children[parent].append(child)
             self._child_sets[parent].add(child)
+            _multi_add(self._parents, child, parent)
 
     def add_root(self, oid: OidLike) -> None:
         """Mark an object as a top-level (root) object (idempotent)."""
         oid = as_oid(oid)
-        if oid not in self._root_set:
+        if oid not in self._root_index:
+            self._root_index[oid] = len(self._roots)
             self._roots.append(oid)
-            self._root_set.add(oid)
+            label = self._labels.get(oid)
+            if label is not None:
+                self._roots_by_label.setdefault(label, []).append(oid)
 
     # -- inspection ----------------------------------------------------------
 
@@ -115,7 +164,7 @@ class OemDatabase:
         return tuple(self._roots)
 
     def is_root(self, oid: OidLike) -> bool:
-        return as_oid(oid) in self._root_set
+        return as_oid(oid) in self._root_index
 
     def oids(self) -> Iterator[Oid]:
         """Iterate over every registered oid, in registration order."""
@@ -150,6 +199,38 @@ class OemDatabase:
             return tuple(self._children[oid])
         except KeyError:
             raise UnknownOidError(f"unknown oid {oid}") from None
+
+    def has_child(self, parent: Oid, child: Oid) -> bool:
+        """True when *parent* is a set object with an edge to *child*."""
+        return child in self._child_sets.get(parent, ())
+
+    # -- index lookups -------------------------------------------------------
+
+    def roots_labeled(self, label: Atom) -> tuple[Oid, ...]:
+        """The registered roots carrying *label*, in root order."""
+        return tuple(self._roots_by_label.get(label, ()))
+
+    def children_labeled(self, oid: Oid, label: Atom) -> tuple[Oid, ...]:
+        """The registered subobjects of *oid* carrying *label*, in
+        insertion order (a scan of one child list, not an index)."""
+        labels = self._labels
+        return tuple(child for child in self._children.get(oid, ())
+                     if labels.get(child) == label)
+
+    def atoms_valued(self, label: Atom, value: Atom) -> tuple[Oid, ...]:
+        """The atomic objects with *label* and *value*, in registration
+        order.  Values match as :class:`Constant` terms do (``1 == 1.0``)."""
+        return _multi_get(self._atoms_by_value.get(label, {}), value)
+
+    def parents(self, oid: Oid) -> tuple[Oid, ...]:
+        """The objects with a subobject edge to *oid*, in edge order."""
+        return _multi_get(self._parents, oid)
+
+    def in_root_order(self, oids: Iterable[Oid]) -> list[Oid]:
+        """The roots among *oids*, each once, in root order."""
+        position = self._root_index
+        return sorted({oid for oid in oids if oid in position},
+                      key=position.__getitem__)
 
     def object(self, oid: OidLike) -> "OemObject":
         """Return a navigational view of one object."""
@@ -196,13 +277,14 @@ class OemDatabase:
         subgraph off a constructed node, the source objects (same oids)
         become part of the answer graph.
         """
-        for node in sorted(self.reachable_from(oid), key=str):
+        nodes = sorted(self.reachable_from(oid), key=str)
+        for node in nodes:
             if self.is_atomic(node):
                 target.add_atomic(node, self.label(node),
                                   self.atomic_value(node))
             else:
                 target.add_set(node, self.label(node))
-        for node in sorted(self.reachable_from(oid), key=str):
+        for node in nodes:
             for child in self.children(node):
                 target.add_child(node, child)
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Union
 from ..errors import FusionConflictError, OemError, TslError
 from ..logic.subst import Substitution
 from ..logic.unify import unify
-from ..logic.terms import Constant, SetValue, Term, Variable
+from ..logic.terms import Atom, Constant, SetValue, Term, Variable
 from ..obs import NULL_TRACER
 from ..oem.model import OemDatabase, Oid
 from .ast import Condition, ObjectPattern, Query, SetPattern
@@ -42,12 +42,22 @@ def _as_sources(sources: Union[OemDatabase, Sources]) -> Sources:
 
 def _unify_field(pattern_term: Term, ground: Term,
                  subst: Substitution) -> Substitution | None:
-    """Match one pattern field against a ground term under *subst*."""
+    """Match one pattern field against a ground term under *subst*.
+
+    Evaluation binds variables to ground database terms only, so a bare
+    variable or constant needs no unifier: compare, or extend.
+    """
+    kind = type(pattern_term)
+    if kind is Variable:
+        bound = subst.get(pattern_term)
+        if bound is None:
+            return subst.extend(pattern_term, ground)
+        return subst if bound == ground else None
+    if kind is Constant:
+        return subst if pattern_term == ground else None
     bound = subst.apply(pattern_term)
     if bound == ground:
         return subst
-    if isinstance(bound, Variable):
-        return subst.bind(bound, ground)
     return unify(bound, ground, subst)
 
 
@@ -65,8 +75,7 @@ def _match_pattern(db: OemDatabase, oid: Oid, pattern: ObjectPattern,
     if isinstance(value, SetPattern):
         if db.is_atomic(oid):
             return
-        yield from _match_set(db, db.children(oid), value.patterns,
-                              after_label)
+        yield from _match_set(db, oid, value.patterns, after_label)
         return
     if db.is_atomic(oid):
         ground: Term = Constant(db.atomic_value(oid))
@@ -77,10 +86,11 @@ def _match_pattern(db: OemDatabase, oid: Oid, pattern: ObjectPattern,
         yield final
 
 
-def _match_set(db: OemDatabase, children: tuple[Oid, ...],
+def _match_set(db: OemDatabase, parent: Oid,
                patterns: tuple[ObjectPattern, ...],
                subst: Substitution) -> Iterator[Substitution]:
-    """Match each nested pattern to *some* child (set containment).
+    """Match each nested pattern to *some* child of *parent* (set
+    containment).
 
     Distinct nested patterns may match the same child; all combinations
     are enumerated (backtracking join).
@@ -89,18 +99,79 @@ def _match_set(db: OemDatabase, children: tuple[Oid, ...],
         yield subst
         return
     first, rest = patterns[0], patterns[1:]
-    for child in _candidate_children(db, children, first, subst):
+    for child in _candidate_children(db, parent, first, subst):
         for extended in _match_pattern(db, child, first, subst):
-            yield from _match_set(db, children, rest, extended)
+            yield from _match_set(db, parent, rest, extended)
 
 
-def _candidate_children(db: OemDatabase, children: tuple[Oid, ...],
+# Candidates.  ``_candidate_roots`` and ``_candidate_children`` return,
+# in the order a full scan visits them, a superset of the objects that
+# can match a pattern: they only drop objects whose label or nested
+# atomic values rule them out, so the assignments -- and their order --
+# are the full scan's.
+
+def _bound(term: Term, subst: Substitution) -> Term:
+    if type(term) is Variable:
+        return subst.get(term, term)
+    return subst.apply(term)
+
+
+def _bound_atom(term: Term, subst: Substitution) -> Atom | None:
+    """The atom *term* is bound to, or None when it is not a constant."""
+    bound = _bound(term, subst)
+    return bound.value if type(bound) is Constant else None
+
+
+def _candidate_children(db: OemDatabase, parent: Oid,
                         pattern: ObjectPattern,
                         subst: Substitution) -> tuple[Oid, ...]:
-    bound_oid = subst.apply(pattern.oid)
+    bound_oid = _bound(pattern.oid, subst)
     if bound_oid.is_ground():
-        return (bound_oid,) if bound_oid in children else ()
-    return children
+        return (bound_oid,) if db.has_child(parent, bound_oid) else ()
+    label = _bound_atom(pattern.label, subst)
+    if label is None:
+        return db.children(parent)
+    return db.children_labeled(parent, label)
+
+
+def _anchor(db: OemDatabase, pattern: ObjectPattern,
+            subst: Substitution) -> Iterable[Oid] | None:
+    """The objects that can match *pattern*, found through the value
+    index and the parent map, or None when no nested atomic value is
+    bound.  Unordered."""
+    label = _bound_atom(pattern.label, subst)
+    value = pattern.value
+    if not isinstance(value, SetPattern):
+        atom = _bound_atom(value, subst)
+        if label is None or atom is None:
+            return None
+        return db.atoms_valued(label, atom)
+    best = None
+    for nested in value.patterns:
+        below = _anchor(db, nested, subst)
+        if below is not None and (best is None or len(below) < len(best)):
+            best = below
+    if best is None:
+        return None
+    parents = {parent for child in best for parent in db.parents(child)}
+    if label is not None:
+        parents = {parent for parent in parents if db.label(parent) == label}
+    return parents
+
+
+def _candidate_roots(db: OemDatabase, pattern: ObjectPattern,
+                     subst: Substitution) -> Iterable[Oid]:
+    bound_oid = _bound(pattern.oid, subst)
+    if bound_oid.is_ground():
+        return ((bound_oid,) if bound_oid in db and db.is_root(bound_oid)
+                else ())
+    anchor = _anchor(db, pattern, subst)
+    if anchor is not None:
+        return db.in_root_order(anchor)
+    label = _bound_atom(pattern.label, subst)
+    if label is None:
+        return db.roots
+    return db.roots_labeled(label)
 
 
 def _match_condition(condition: Condition, sources: Sources,
@@ -111,13 +182,7 @@ def _match_condition(condition: Condition, sources: Sources,
         known = ", ".join(sorted(sources)) or "(none)"
         raise TslError(f"unknown source {condition.source!r}; "
                        f"available: {known}") from None
-    bound_oid = subst.apply(condition.pattern.oid)
-    if bound_oid.is_ground():
-        candidates: Iterable[Oid] = (
-            (bound_oid,) if bound_oid in db and db.is_root(bound_oid) else ())
-    else:
-        candidates = db.roots
-    for root in candidates:
+    for root in _candidate_roots(db, condition.pattern, subst):
         yield from _match_pattern(db, root, condition.pattern, subst)
 
 
@@ -142,13 +207,7 @@ def body_assignments(query: Query,
         current = extended
         if not current:
             return []
-    seen: set[Substitution] = set()
-    unique: list[Substitution] = []
-    for subst in current:
-        if subst not in seen:
-            seen.add(subst)
-            unique.append(subst)
-    return unique
+    return list(dict.fromkeys(current))
 
 
 # --------------------------------------------------------------------------
@@ -220,13 +279,31 @@ def evaluate_program(rules: Iterable[Query],
         for rule in rules:
             with tracer.span("evaluate.rule",
                              rule=rule.name or "?") as rule_span:
-                assignments = 0
-                for assignment in body_assignments(rule, sources):
-                    root_oid = _instantiate_head(answer, rule.head,
-                                                 assignment, sources)
-                    answer.add_root(root_oid)
-                    assignments += 1
-                rule_span.set("assignments", assignments)
+                assignments = body_assignments(rule, sources)
+                _construct(answer, rule, assignments, sources)
+                rule_span.set("assignments", len(assignments))
         answer.check_integrity()
         span.set("objects", answer.stats()["objects"])
+    return answer
+
+
+def _construct(answer: OemDatabase, rule: Query,
+               assignments: Iterable[Substitution],
+               sources: Sources) -> None:
+    for assignment in assignments:
+        answer.add_root(_instantiate_head(answer, rule.head, assignment,
+                                          sources))
+
+
+def answer_from_assignments(rule: Query,
+                            assignments: Iterable[Substitution],
+                            sources: Union[OemDatabase, Sources],
+                            answer_name: str = ANSWER_NAME) -> OemDatabase:
+    """The answer *rule*'s head builds from its body *assignments* (as
+    returned by :func:`body_assignments`), exactly as :func:`evaluate`
+    builds it."""
+    sources = _as_sources(sources)
+    answer = OemDatabase(answer_name)
+    _construct(answer, rule, assignments, sources)
+    answer.check_integrity()
     return answer

@@ -13,7 +13,7 @@ from ..logic.subst import Substitution
 from ..logic.terms import SetValue, Variable
 from ..oem.model import OemDatabase
 from .ast import Query
-from .evaluator import Sources, body_assignments, evaluate
+from .evaluator import Sources, answer_from_assignments, body_assignments
 from .printer import print_query
 
 
@@ -76,5 +76,5 @@ class Explanation:
 def explain(query: Query, sources: OemDatabase | Sources) -> Explanation:
     """Evaluate *query* and return its assignments alongside the answer."""
     assignments = body_assignments(query, sources)
-    answer = evaluate(query, sources)
+    answer = answer_from_assignments(query, assignments, sources)
     return Explanation(query, assignments, answer)

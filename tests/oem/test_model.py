@@ -1,6 +1,7 @@
 """Unit tests for the OEM data model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DuplicateOidError, OemError, UnknownOidError
 from repro.logic.terms import Constant, fn, var
@@ -194,3 +195,160 @@ class TestMerge:
     def test_merge_overlapping_identical(self, db):
         merged = merge_databases("m", [db, db])
         assert len(merged) == 3
+
+
+# -- derived lookup structures ---------------------------------------------
+
+_OIDS = [Constant(f"o{n}") for n in range(5)] + [fn("f", Constant(1))]
+_LABELS = ["a", "b"]
+_VALUES = [1, 1.0, "x", "y"]
+
+
+def _other_database():
+    """A fixed second database for merges and subgraph copies: it shares
+    oids with the random one, so both can conflict or overlap."""
+    other = OemDatabase("other")
+    other.add_set("o0", "a")
+    other.add_atomic("o1", "b", "x")
+    other.add_atomic("o9", "a", 1)
+    other.add_child("o0", "o1")
+    other.add_child("o0", "o9")
+    other.add_root("o9")
+    other.add_root("o0")
+    return other
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("atomic"), st.sampled_from(_OIDS),
+              st.sampled_from(_LABELS), st.sampled_from(_VALUES)),
+    st.tuples(st.just("set"), st.sampled_from(_OIDS),
+              st.sampled_from(_LABELS)),
+    st.tuples(st.just("child"), st.sampled_from(_OIDS),
+              st.sampled_from(_OIDS)),
+    st.tuples(st.just("root"), st.sampled_from(_OIDS)),
+    st.tuples(st.just("merge")),
+    st.tuples(st.just("copy"), st.sampled_from(["o0", "o1", "o9"])),
+)
+
+
+def _apply(db, step):
+    """Apply one step; a rejected update (a conflicting shape, an edge
+    from an unknown or atomic parent) leaves the database usable."""
+    kind = step[0]
+    try:
+        if kind == "atomic":
+            db.add_atomic(*step[1:])
+        elif kind == "set":
+            db.add_set(*step[1:])
+        elif kind == "child":
+            db.add_child(*step[1:])
+        elif kind == "root":
+            db.add_root(step[1])
+        elif kind == "merge":
+            return merge_databases("db", [db, _other_database()])
+        else:
+            _other_database().copy_subgraph_into(db, step[1])
+    except OemError:
+        pass
+    return db
+
+
+def _patterns():
+    """Top-level patterns whose candidates come from each index path."""
+    from repro.tsl.parser import parse_query
+    bodies = ["<P a V>", "<P b {<X a 1>}>", "<P L {<X b x>}>",
+              "<P a {<X a {<Y b 1>}>}>", "<P L V>", "<P a 1>",
+              "<P b {<X a V> <Y b y>}>"]
+    return [parse_query(f"<r(P) z 0> :- {body}@db").body[0].pattern
+            for body in bodies]
+
+
+def _check_indexes(db):
+    from repro.logic.subst import Substitution
+    from repro.tsl.evaluator import _candidate_roots, _match_pattern
+    registered = list(db.oids())
+    roots = [root for root in db.roots if root in db]
+    for label in _LABELS:
+        assert list(db.roots_labeled(label)) == [
+            root for root in roots if db.label(root) == label]
+        for value in _VALUES:
+            assert list(db.atoms_valued(label, value)) == [
+                oid for oid in registered if db.is_atomic(oid)
+                and db.label(oid) == label and db.atomic_value(oid) == value]
+        for oid in registered:
+            assert list(db.children_labeled(oid, label)) == [
+                child for child in db.children(oid)
+                if child in db and db.label(child) == label]
+    for oid in _OIDS:
+        parents = db.parents(oid)
+        assert len(parents) == len(set(parents))
+        assert set(parents) == {parent for parent in registered
+                                if oid in db.children(parent)}
+    assert db.in_root_order(reversed(_OIDS)) == [
+        root for root in db.roots if root in _OIDS]
+    for pattern in _patterns():
+        candidates = list(_candidate_roots(db, pattern, Substitution()))
+        assert candidates == [root for root in db.roots
+                              if root in candidates]
+        matched = [[*_match_pattern(db, root, pattern, Substitution())]
+                   for root in candidates if root in db]
+        scanned = [[*_match_pattern(db, root, pattern, Substitution())]
+                   for root in roots]
+        assert [m for m in matched if m] == [m for m in scanned if m]
+
+
+@given(st.lists(_STEPS, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_indexes_match_a_full_scan_after_every_step(steps):
+    db = OemDatabase("db")
+    for step in steps:
+        db = _apply(db, step)
+        _check_indexes(db)
+
+
+def _update_script(store):
+    """Fixed updates: a root and an edge before their objects, idempotent
+    re-adds, a shared subobject, function-term oids and numeric values."""
+    year = fn("y", Constant(1))
+    store.add_set("pub1", "pub")
+    store.add_root(year)
+    store.add_atomic(year, "year", 1999)
+    store.add_child("pub1", "t1")
+    store.add_atomic("t1", "title", "views")
+    store.add_atomic("t1", "title", "views")
+    store.add_child("pub1", "t1")
+    store.add_root("pub1")
+    store.add_root("pub1")
+    store.add_atomic("y2", "year", 1999.0)
+    store.add_child("pub1", "y2")
+    store.add_set("pub2", "pub")
+    store.add_child("pub2", "t1")
+    store.add_child("pub2", year)
+    store.add_root("pub2")
+
+
+def _digest(data: bytes) -> str:
+    import hashlib
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_indexes_never_reach_disk(tmp_path):
+    # The digests were taken before the database kept any derived
+    # lookup structure: saving, logging and compacting the same updates
+    # must write the same bytes.
+    from repro.repository.store import Store
+    from repro.storage import DurableStore
+    store = Store("db")
+    _update_script(store)
+    store.save(tmp_path / "store.json")
+    durable = DurableStore.create(tmp_path / "durable")
+    _update_script(durable)
+    durable.flush()
+    wal = durable.layout.wal.read_bytes()
+    durable.compact()
+    durable.close()
+    assert {"save": _digest((tmp_path / "store.json").read_bytes()),
+            "wal": _digest(wal),
+            "snapshot": _digest(durable.layout.snapshot.read_bytes())} \
+        == {"save": "87250ff57d83689b", "wal": "447e147fa65219d6",
+            "snapshot": "d8403951d35fe541"}

@@ -165,6 +165,23 @@ def test_unsettled_canonical_form_is_caught(monkeypatch):
     assert {f.invariant for f in report.failures} == {"canon-fixpoint"}
 
 
+def test_lost_index_hit_is_caught(monkeypatch):
+    # A label lookup that drops its last hit loses answers in the query
+    # and in the view materializations alike, so the invariants that
+    # compare one direct evaluation with another can miss it (at this
+    # seed they all do); evaluate-datalog, whose Datalog side uses no
+    # index, reports it.
+    from repro.oem.model import OemDatabase
+
+    roots_labeled = OemDatabase.roots_labeled
+    monkeypatch.setattr(OemDatabase, "roots_labeled",
+                        lambda self, label: roots_labeled(self, label)[:-1])
+    report = run_fuzz(FuzzConfig(seed=0, iterations=12,
+                                 oracles=("semantic",), shrink=False))
+    assert not report.ok
+    assert {f.invariant for f in report.failures} == {"evaluate-datalog"}
+
+
 def test_memo_oracle_compares_seeded_corpus(monkeypatch):
     # The green direction of satellite 4: a seeded campaign of the memo
     # oracle alone -- memoized (cold + warm) and unmemoized rewrite()

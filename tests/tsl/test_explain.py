@@ -1,7 +1,12 @@
 """Tests for the evaluation explainer."""
 
+import importlib
+
 from repro.oem import build_database, obj
-from repro.tsl import explain, parse_query
+from repro.oem.serialize import database_to_json
+from repro.tsl import body_assignments, evaluate, explain, parse_query
+
+evaluator_mod = importlib.import_module("repro.tsl.evaluator")
 
 
 def _db():
@@ -36,3 +41,26 @@ class TestExplain:
         q = parse_query("<f(P) x 1> :- <P robot V>@db")
         text = explain(q, _db()).render()
         assert "no satisfying assignments" in text
+
+    def test_matches_each_condition_once(self, monkeypatch):
+        # The answer is built from the assignments explain already holds,
+        # so the body is matched once, and the answer is evaluate()'s,
+        # byte for byte.
+        q = parse_query("<f(P) x N> :- <P person {<X name N>}>@db "
+                        "AND <P person {<A age 31>}>@db")
+        calls = []
+        match_condition = evaluator_mod._match_condition
+
+        def counting(condition, sources, subst):
+            calls.append(condition)
+            return match_condition(condition, sources, subst)
+
+        monkeypatch.setattr(evaluator_mod, "_match_condition", counting)
+        result = explain(q, _db())
+        explained = list(calls)
+        calls.clear()
+        body_assignments(q, _db())
+        assert explained == calls and len(calls) == 2
+        monkeypatch.undo()
+        assert database_to_json(result.answer) \
+            == database_to_json(evaluate(q, _db()))
