@@ -11,7 +11,7 @@ fixed fraction of the data, and rewriting cost is size-independent).
 
 A second series measures the cache's *rewrite session* (prepared views
 + canonical-hash memo tables): repeated lookups against a warm cache
-with memoization on vs off (``cache_memoize=False``, the ``--no-memo``
+with memoization on vs off (``cache_memoize=False``, the pass-through
 baseline).  The memoized per-lookup time must be at least ~2x faster
 and the exported ``cache.hits`` counter nonzero.
 """

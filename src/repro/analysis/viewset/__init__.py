@@ -9,7 +9,7 @@ subsumed (TSL402), unsatisfiable under the DTD (TSL403), unsafe
 (TSL405) -- the dead weight that bloats Step 1A's candidate search.
 
 The same analysis also produces the :class:`.signature.LabelSignatureIndex`
-the rewriter consumes as a sound pre-filter (``signature_prefilter``).
+the rewriter consumes as a sound pre-filter before Step 1A.
 
 Exports resolve lazily (PEP 562): :mod:`repro.rewriting.rewriter`
 imports :mod:`.signature` through this package, and an eager import of

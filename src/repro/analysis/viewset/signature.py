@@ -19,7 +19,7 @@ the query exists -- the view is irrelevant to the query (Lemma 5.1) and
 Step 1A can skip it without enumerating anything.  That is the
 :class:`ViewSignature` / :class:`QueryProfile` subset test below, and
 the :class:`LabelSignatureIndex` is the per-view-set artifact the
-analyzer builds and the rewriter consumes (``signature_prefilter``).
+analyzer builds and the rewriter consumes before Step 1A.
 
 Signatures must be computed on the *chased* (prepared) view and checked
 against the *chased* target query: the chase's label inference

@@ -14,13 +14,11 @@ Usage (installed as ``python -m repro``)::
     python -m repro rewrite QUERY.tsl --view NAME=VIEW.tsl ... \
         [--dtd FILE.dtd] [--total] [--contained] [--format text|json] \
         [--trace OUT] [--trace-format jsonl|chrome|text] \
-        [--budget-ms N] [--max-steps N] [--max-candidates N] \
-        [--no-memo] [--memo-size N] [--no-signature-prefilter] \
-        [--no-path-index]
+        [--budget-ms N] [--max-steps N] [--max-candidates N]
     python -m repro explain QUERY.tsl --view NAME=VIEW.tsl ... \
         [--dtd FILE.dtd] [--total] [--format text|json] \
-        [--budget-ms N] [--max-steps N] [--max-candidates N] \
-        [--no-memo] [--no-signature-prefilter] [--no-path-index]
+        [--trace OUT] [--trace-format jsonl|chrome|text] \
+        [--budget-ms N] [--max-steps N] [--max-candidates N]
     python -m repro metrics [QUERY.tsl --view NAME=VIEW.tsl ...] \
         [--dtd FILE.dtd] [--format prom|json] [--url http://HOST:PORT]
     python -m repro serve [--host H] [--port N] [--workers N] \
@@ -89,7 +87,7 @@ from .obs import (TRACE_FORMATS, Budget, MetricsRegistry, Tracer,
                   render_prometheus, write_trace)
 from .oem.dot import to_dot
 from .oem.serialize import dumps, loads
-from .rewriting import (DEFAULT_MEMO_SIZE, Explanation, RewriteSession,
+from .rewriting import (Explanation, RewriteSession,
                         maximally_contained_rewritings, parse_dtd)
 from .tsl import evaluate, parse_query, print_query, validate
 from .xmlbridge import dtd_from_document, xml_to_oem
@@ -172,19 +170,24 @@ def _parse_view_spec(spec: str):
         raise RenderedError(_render_tsl_error(exc, text, path)) from exc
 
 
-def _cmd_rewrite(args: argparse.Namespace) -> int:
-    import json as json_module
-
+def _search_inputs(args: argparse.Namespace):
+    """``(query, views, constraints, tracer, budget)`` from the search
+    arguments ``rewrite`` and ``explain`` share."""
     query = _load_query(args.query)
     views = dict(_parse_view_spec(spec) for spec in args.view)
-    constraints = None
-    if args.dtd:
-        constraints = parse_dtd(_read(args.dtd))
+    constraints = parse_dtd(_read(args.dtd)) if args.dtd else None
     tracer = Tracer() if args.trace else None
     budget = None
     if args.budget_ms is not None or args.max_steps is not None:
         budget = Budget(deadline_ms=args.budget_ms,
                         max_steps=args.max_steps)
+    return query, views, constraints, tracer, budget
+
+
+def _cmd_rewrite(args: argparse.Namespace) -> int:
+    import json as json_module
+
+    query, views, constraints, tracer, budget = _search_inputs(args)
     stats = None
     if args.contained:
         outcome = maximally_contained_rewritings(
@@ -194,14 +197,9 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
                        else "contained") for r in outcome.rewritings]
         truncated, stop_reason = outcome.truncated, outcome.stop_reason
     else:
-        session = RewriteSession(views, constraints,
-                                 memo_size=args.memo_size,
-                                 enabled=not args.no_memo)
-        result = session.rewrite(
+        result = RewriteSession(views, constraints).rewrite(
             query, total_only=args.total,
             max_candidates=args.max_candidates,
-            signature_prefilter=not args.no_signature_prefilter,
-            path_index=not args.no_path_index,
             tracer=tracer, budget=budget)
         rewritings = [(r.query, "equivalent") for r in result.rewritings]
         truncated, stop_reason = result.truncated, result.stats.stop_reason
@@ -238,23 +236,11 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     import json as json_module
 
-    query = _load_query(args.query)
-    views = dict(_parse_view_spec(spec) for spec in args.view)
-    constraints = parse_dtd(_read(args.dtd)) if args.dtd else None
-    tracer = Tracer() if args.trace else None
-    budget = None
-    if args.budget_ms is not None or args.max_steps is not None:
-        budget = Budget(deadline_ms=args.budget_ms,
-                        max_steps=args.max_steps)
+    query, views, constraints, tracer, budget = _search_inputs(args)
     explanation = Explanation()
-    session = RewriteSession(views, constraints,
-                             memo_size=args.memo_size,
-                             enabled=not args.no_memo)
-    result = session.rewrite(
+    result = RewriteSession(views, constraints).rewrite(
         query, total_only=args.total,
         max_candidates=args.max_candidates,
-        signature_prefilter=not args.no_signature_prefilter,
-        path_index=not args.no_path_index,
         tracer=tracer, budget=budget, explain=explanation)
     _write_trace_if_requested(tracer, args)
     if args.format == "json":
@@ -653,6 +639,27 @@ def _add_trace_flags(cmd: argparse.ArgumentParser) -> None:
                           "loads in Perfetto)")
 
 
+def _add_search_args(cmd: argparse.ArgumentParser) -> None:
+    """The arguments ``rewrite`` and ``explain`` share: the query, its
+    views and DTD, and how the search is restricted, bounded and
+    traced."""
+    cmd.add_argument("query")
+    cmd.add_argument("--view", action="append", default=[],
+                     metavar="NAME=FILE", required=True)
+    cmd.add_argument("--dtd", help="structural constraints file")
+    cmd.add_argument("--total", action="store_true",
+                     help="views-only (total) rewritings")
+    _add_trace_flags(cmd)
+    cmd.add_argument("--budget-ms", type=float, metavar="N",
+                     help="wall-clock deadline; on expiry the partial "
+                          "result is returned flagged truncated")
+    cmd.add_argument("--max-steps", type=int, metavar="N",
+                     help="step budget over all search phases")
+    cmd.add_argument("--max-candidates", type=int, metavar="N",
+                     help="cap on candidates tested (truncates the "
+                          "search)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -722,12 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rewrite_cmd = commands.add_parser(
         "rewrite", help="find rewritings of a query using views")
-    rewrite_cmd.add_argument("query")
-    rewrite_cmd.add_argument("--view", action="append", default=[],
-                             metavar="NAME=FILE", required=True)
-    rewrite_cmd.add_argument("--dtd", help="structural constraints file")
-    rewrite_cmd.add_argument("--total", action="store_true",
-                             help="views-only (total) rewritings")
+    _add_search_args(rewrite_cmd)
     rewrite_cmd.add_argument("--contained", action="store_true",
                              help="maximally contained instead of "
                                   "equivalent rewritings")
@@ -735,77 +737,17 @@ def build_parser() -> argparse.ArgumentParser:
                              default="text",
                              help="output format (json includes stats "
                                   "and the truncation flag)")
-    _add_trace_flags(rewrite_cmd)
-    rewrite_cmd.add_argument("--budget-ms", type=float, metavar="N",
-                             help="wall-clock deadline; on expiry the "
-                                  "partial result is returned flagged "
-                                  "truncated")
-    rewrite_cmd.add_argument("--max-steps", type=int, metavar="N",
-                             help="step budget over all search phases")
-    rewrite_cmd.add_argument("--max-candidates", type=int, metavar="N",
-                             help="cap on candidates tested (truncates "
-                                  "the search)")
-    rewrite_cmd.add_argument("--no-signature-prefilter",
-                             action="store_true",
-                             help="disable the sound label-signature "
-                                  "pre-filter that skips views whose "
-                                  "body labels cannot map into the "
-                                  "query")
-    rewrite_cmd.add_argument("--no-path-index",
-                             action="store_true",
-                             help="disable the sound path index that "
-                                  "restricts mapping searches to "
-                                  "statically compatible query "
-                                  "conditions (exhaustive scan)")
-    rewrite_cmd.add_argument("--no-memo", action="store_true",
-                             help="disable the rewrite session's memo "
-                                  "tables (prepared views + canonical-"
-                                  "hash caches)")
-    rewrite_cmd.add_argument("--memo-size", type=int, metavar="N",
-                             default=DEFAULT_MEMO_SIZE,
-                             help="per-table memo capacity (default: "
-                                  f"{DEFAULT_MEMO_SIZE})")
     rewrite_cmd.set_defaults(handler=_cmd_rewrite)
 
     explain_cmd = commands.add_parser(
         "explain", help="run the rewrite search with the EXPLAIN "
                         "decision log and report every mapping and "
                         "candidate verdict")
-    explain_cmd.add_argument("query")
-    explain_cmd.add_argument("--view", action="append", default=[],
-                             metavar="NAME=FILE", required=True)
-    explain_cmd.add_argument("--dtd", help="structural constraints file")
-    explain_cmd.add_argument("--total", action="store_true",
-                             help="views-only (total) rewritings")
+    _add_search_args(explain_cmd)
     explain_cmd.add_argument("--format", choices=("text", "json"),
                              default="text",
                              help="decision-log rendering (json is "
                                   "schema-versioned and machine-readable)")
-    _add_trace_flags(explain_cmd)
-    explain_cmd.add_argument("--budget-ms", type=float, metavar="N",
-                             help="wall-clock deadline (the log notes "
-                                  "truncation)")
-    explain_cmd.add_argument("--max-steps", type=int, metavar="N",
-                             help="step budget over all search phases")
-    explain_cmd.add_argument("--max-candidates", type=int, metavar="N",
-                             help="cap on candidates tested")
-    explain_cmd.add_argument("--no-signature-prefilter",
-                             action="store_true",
-                             help="disable the label-signature "
-                                  "pre-filter (every view then reaches "
-                                  "mapping enumeration)")
-    explain_cmd.add_argument("--no-path-index",
-                             action="store_true",
-                             help="disable the path index (mapping "
-                                  "searches scan every query "
-                                  "condition)")
-    explain_cmd.add_argument("--no-memo", action="store_true",
-                             help="disable the rewrite session's memo "
-                                  "tables")
-    explain_cmd.add_argument("--memo-size", type=int, metavar="N",
-                             default=DEFAULT_MEMO_SIZE,
-                             help="per-table memo capacity (default: "
-                                  f"{DEFAULT_MEMO_SIZE})")
     explain_cmd.set_defaults(handler=_cmd_explain)
 
     metrics_cmd = commands.add_parser(

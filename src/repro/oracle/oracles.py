@@ -40,12 +40,12 @@ memo
     chase agrees with the plain chase.
 
 signature
-    Transparency and soundness of the label-signature pre-filter
-    (:mod:`repro.analysis.viewset.signature`): rewriting with the
-    pre-filter on returns exactly the rewriting set of rewriting with
-    it off, and every view the signature judges inadmissible for the
-    query profile truly has no containment mapping into the prepared
-    target, confirmed by the brute-force enumerator.
+    Exactness and soundness of the label-signature pre-filter
+    (:mod:`repro.analysis.viewset.signature`): the views ``rewrite``'s
+    EXPLAIN log marks ``pruned-signature`` are exactly the views whose
+    signature is inadmissible for the query profile, and every such
+    view truly has no containment mapping into the prepared target,
+    confirmed by the brute-force enumerator.
 
 index
     Transparency of the target-path index
@@ -94,6 +94,7 @@ from ..rewriting.canon import query_key
 from ..rewriting.chase import chase
 from ..rewriting.composition import compose
 from ..rewriting.equivalence import equivalent, minimize, prepare_program
+from ..rewriting.explain import Explanation
 from ..rewriting.mappings import body_mappings, find_mappings
 from ..rewriting.rewriter import rewrite
 from ..rewriting.session import RewriteSession
@@ -623,18 +624,19 @@ class MemoOracle:
 
 
 class SignatureOracle:
-    """The label-signature pre-filter must be invisible and sound.
+    """The label-signature pre-filter must prune exactly the provably
+    irrelevant views, and only those.
 
     Two invariants over every case:
 
-    * **parity** -- ``rewrite`` with ``signature_prefilter=True`` (the
-      default) and ``False`` produce the identical rewriting set,
-      compared by canonical hash plus views used (truncated searches
-      are skipped: a partial set may legitimately differ when pruning
-      changes the enumeration order).
-    * **soundness** -- every chased view whose
-      :class:`~repro.analysis.viewset.signature.ViewSignature` is
-      inadmissible for the prepared target's profile must have *zero*
+    * **parity** -- the views that ``rewrite``'s
+      :class:`~repro.rewriting.explain.Explanation` marks
+      ``pruned-signature`` are exactly the chased views whose
+      :class:`~repro.analysis.viewset.signature.ViewSignature` the
+      oracle finds inadmissible for the prepared target's profile.  A
+      rewriter that prunes an admissible view could discard real
+      rewritings; one that keeps an inadmissible view wastes Step 1A.
+    * **soundness** -- every inadmissible view must have *zero*
       containment mappings into that target, confirmed against the
       brute-force enumerator.  A single mapping from a pruned view
       would mean the pre-filter discards real rewritings.
@@ -645,34 +647,20 @@ class SignatureOracle:
     def __init__(self, max_candidates: int = 128) -> None:
         self.max_candidates = max_candidates
 
-    @staticmethod
-    def _fingerprint(outcome) -> set:
-        return {(query_key(r.query), tuple(sorted(r.views_used)))
-                for r in outcome.rewritings}
-
     def check(self, case: Case) -> OracleResult:
         result = OracleResult()
         constraints = case.constraints
-        filtered = rewrite(case.query, case.views, constraints,
-                           max_candidates=self.max_candidates)
-        unfiltered = rewrite(case.query, case.views, constraints,
-                             max_candidates=self.max_candidates,
-                             signature_prefilter=False)
-        if not filtered.truncated and not unfiltered.truncated:
-            result.checks += 1
-            on = self._fingerprint(filtered)
-            off = self._fingerprint(unfiltered)
-            if on != off:
-                result.failures.append(Failure(
-                    self.name, "prefilter-parity",
-                    f"rewriting set changed under the pre-filter: "
-                    f"only_on={sorted(on - off)} "
-                    f"only_off={sorted(off - on)}"))
+        explanation = Explanation()
+        rewrite(case.query, case.views, constraints,
+                max_candidates=self.max_candidates, explain=explanation)
+        pruned = {event.view for event in explanation.mappings
+                  if event.verdict == "pruned-signature"}
         prepared = prepare_program([case.query], constraints)
         if not prepared:
             return result  # contradictory body: every pruning is sound
         target = prepared[0]
         profile = query_profile(target)
+        inadmissible = set()
         for name, view in sorted(case.views.items()):
             try:
                 chased_view = chase(view, constraints)
@@ -681,6 +669,7 @@ class SignatureOracle:
             signature = view_signature(chased_view)
             if signature.admissible_for(profile):
                 continue
+            inadmissible.add(name)
             result.checks += 1
             mappings = brute_mappings(chased_view, target)
             if mappings:
@@ -690,6 +679,14 @@ class SignatureOracle:
                     f"({signature.missing_from(profile)}) but has "
                     f"{len(mappings)} brute-force containment "
                     f"mapping(s) into the target"))
+        result.checks += 1
+        if pruned != inadmissible:
+            result.failures.append(Failure(
+                self.name, "prefilter-parity",
+                f"the rewriter pruned views the signatures do not "
+                f"refute, or kept ones they do: "
+                f"only_pruned={sorted(pruned - inadmissible)} "
+                f"only_inadmissible={sorted(inadmissible - pruned)}"))
         return result
 
 

@@ -91,7 +91,7 @@ class QueryCache:
     """An LRU cache of query answers, consulted via query rewriting.
 
     ``memoize=False`` disables the shared rewrite session (every lookup
-    re-runs the full search; the ``--no-memo`` baseline of benchmark
+    re-runs the full search; the pass-through baseline of benchmark
     E10).  *metrics* receives ``cache.lookup.{hits,misses}`` and
     ``cache.entries.{evictions,invalidations}`` counters plus the
     session's ``cache.*`` memo counters.

@@ -5,10 +5,9 @@ from .mappings import (Mapping, body_mappings, component_mapping, coverage,
                        find_mappings, map_path_into,
                        most_constrained_order, query_maps_into)
 from .canon import (Canonical, canonicalize, component_key, condition_key,
-                    intern_condition, intern_term, program_key, query_key)
+                    intern_condition, program_key, query_key)
 from .chase import StructuralConstraints, chase
-from .session import (DEFAULT_MEMO_SIZE, MemoTable, RewriteSession,
-                      ViewPlan)
+from .session import DEFAULT_MEMO_SIZE, MemoTable, RewriteSession
 from .composition import compose
 from .equivalence import (equivalence_obstacle, equivalent, minimize,
                           prepare_program, programs_equivalent)
@@ -36,8 +35,8 @@ __all__ = [
     "Rewriting", "RewriteResult", "RewriteStats", "CandidateAtom",
     "view_instantiations",
     "Canonical", "canonicalize", "query_key", "condition_key",
-    "component_key", "program_key", "intern_term", "intern_condition",
-    "RewriteSession", "MemoTable", "DEFAULT_MEMO_SIZE", "ViewPlan",
+    "component_key", "program_key", "intern_condition",
+    "RewriteSession", "MemoTable", "DEFAULT_MEMO_SIZE",
     "maximally_contained_rewritings", "programs_contained", "contained_in",
     "ContainedRewriting", "ContainedResult",
     "Dtd", "ChildSpec", "parse_dtd", "paper_dtd", "parse_xml_data",

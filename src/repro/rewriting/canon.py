@@ -104,27 +104,14 @@ def _condition_skeleton(condition: Condition) -> str:
 
 
 # --------------------------------------------------------------------------
-# Hash-consing (interning) of terms and conditions
+# Hash-consing (interning) of conditions
 # --------------------------------------------------------------------------
 
 #: Interning pools are cleared wholesale when full -- hash-consing is an
 #: optimization, never a source of truth, so dropping entries only costs
 #: a little sharing.
 _POOL_CAPACITY = 65536
-_TERM_POOL: dict = {}
 _CONDITION_POOL: dict[Condition, Condition] = {}
-
-
-def intern_term(term):
-    """Return the pooled representative equal to *term* (hash-consing).
-
-    Equal terms collapse to one object, so later equality checks hit the
-    ``is``-shortcut and per-object caches (skeletons, variable sets) are
-    computed once per structure instead of once per copy.
-    """
-    if len(_TERM_POOL) >= _POOL_CAPACITY:
-        _TERM_POOL.clear()
-    return _TERM_POOL.setdefault(term, term)
 
 
 def intern_condition(condition: Condition) -> Condition:

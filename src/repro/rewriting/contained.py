@@ -35,7 +35,8 @@ from ..logic.subst import Substitution
 from ..tsl.ast import Condition, fresh_variable_factory
 from .equivalence import components_subsumed, prepare_program
 from .mappings import body_mappings
-from .rewriter import CandidateAtom, _as_view_dict
+from .rewriter import CandidateAtom
+from .session import _as_view_dict
 
 
 def programs_contained(left: Iterable[Query], right: Iterable[Query],

@@ -305,7 +305,7 @@ def find_mappings(view: Query, query: Query, *,
     Inputs are normalized defensively; apply the chase first for the full
     algorithm of Section 3.4.  One :class:`PathIndex` over the query body
     is shared by the mapping search and every coverage computation; pass
-    a prebuilt *index* (e.g. from a view plan) to share it across views.
+    a prebuilt *index* to share it across views.
     """
     source_paths = query_paths(view)
     target_paths = query_paths(query)

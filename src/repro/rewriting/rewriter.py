@@ -26,68 +26,29 @@ remains sound.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Mapping, Sequence, Union
 
 from ..errors import (BudgetExceededError, ChaseContradictionError,
-                      CompositionError, RewritingError)
-from ..obs import NULL_TRACER
+                      CompositionError)
+from ..obs import NULL_TRACER, Tracer
 from ..obs.metrics import PHASE_SECONDS
 from ..tsl.ast import Condition, Query
-from ..tsl.normalize import normalize, path_to_condition, query_paths
+from ..tsl.normalize import path_to_condition, query_paths
 from ..tsl.validate import is_safe
 from .canon import program_key
 from .chase import StructuralConstraints, chase
 from .composition import compose
-from .equivalence import (equivalence_obstacle, minimize, prepare_program,
+from .equivalence import (equivalence_obstacle, prepare_program,
                           programs_equivalent)
 from .index import IndexStats, PathIndex
 from .mappings import Mapping as ContainmentMapping
 from .mappings import find_mappings, mapping_obstacle
+from .session import RewriteSession, _as_view_dict
 
-class _PhaseTimer:
-    """Times a pipeline phase into ``phase.seconds{phase=...}``.
-
-    Constructed only when a metrics registry is in play, so the default
-    (``metrics=None``) path never allocates or reads the clock.
-    Observes on exit even when the phase raises (budget expiry,
-    chase contradictions): a truncated phase still spent its time.
-    """
-
-    __slots__ = ("_metrics", "_phase", "_start")
-
-    def __init__(self, metrics, phase: str) -> None:
-        self._metrics = metrics
-        self._phase = phase
-
-    def __enter__(self) -> "_PhaseTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._metrics.observe(PHASE_SECONDS,
-                              time.perf_counter() - self._start,
-                              labels={"phase": self._phase})
-        return False
-
-
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
-def _phase(metrics, phase: str):
-    return _NULL_TIMER if metrics is None else _PhaseTimer(metrics, phase)
+#: Span names that ``phase.seconds{phase=...}`` observes.
+_PHASES = frozenset(("rewrite", "chase", "compose", "equivalence"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,64 +132,47 @@ class RewriteResult:
         return len(self.rewritings)
 
 
-def _as_view_dict(views: Union[Mapping[str, Query], Sequence[Query]]
-                  ) -> dict[str, Query]:
-    if isinstance(views, Mapping):
-        return dict(views)
-    out: dict[str, Query] = {}
-    for index, view in enumerate(views):
-        name = view.name or f"V{index + 1}"
-        if name in out:
-            raise RewritingError(f"duplicate view name {name!r}")
-        out[name] = view
-    return out
-
-
 def view_instantiations(query: Query, views: Mapping[str, Query],
                         constraints: StructuralConstraints | None = None,
                         *, tracer=None, budget=None,
                         session=None, explain=None,
                         signature_index=None,
-                        signature_prefilter: bool = False,
-                        path_index: bool = True,
                         stats: "RewriteStats | None" = None
                         ) -> list[CandidateAtom]:
     """Step 1A: mappings from each view body into body(Q), as atoms.
 
     Each mapping ``θ`` yields the condition ``θ(head(Vi))@Vi`` together
-    with the set of Q-conditions it covers.  With a
-    :class:`~repro.rewriting.session.RewriteSession` the per-view chase
-    (and its derived plan artifacts) is done once per session, not once
-    per call.  An :class:`~repro.rewriting.explain.Explanation` receives
-    one event per mapping found, or the refutation obstacle for views
-    with none.
+    with the set of Q-conditions it covers.  Views are prepared (chased)
+    through *session*, a :class:`~repro.rewriting.session.RewriteSession`
+    for *views* and *constraints* (a pass-through one when None), so a
+    session prepares each view once.  An
+    :class:`~repro.rewriting.explain.Explanation` receives one event per
+    mapping found, or the refutation obstacle for views with none.
 
-    The label-signature pre-filter (a sound necessary condition, see
-    :mod:`repro.analysis.viewset.signature`) skips views that provably
-    have no containment mapping into *query*: with *signature_index* (a
-    precomputed :class:`~repro.analysis.viewset.LabelSignatureIndex`)
-    the skip happens before the view is even chased; with bare
-    ``signature_prefilter=True`` each view's signature is computed from
-    its chased body, saving only the mapping enumeration.  Skips are
-    counted on ``stats.views_pruned_signature`` and recorded as
-    ``pruned-signature`` events on *explain*.  *query* must already be
-    chased (as in ``_search``) for the profile to be sound.
+    With *signature_index* (a
+    :class:`~repro.analysis.viewset.LabelSignatureIndex`), views whose
+    label signature provably has no containment mapping into *query*
+    (a sound necessary condition, see
+    :mod:`repro.analysis.viewset.signature`) are skipped before they are
+    prepared.  Skips are counted on ``stats.views_pruned_signature`` and
+    recorded as ``pruned-signature`` events on *explain*.  *query* must
+    already be chased (as in ``_search``) for the profile to be sound.
 
-    With *path_index* (default) one
-    :class:`~repro.rewriting.index.PathIndex` over the query's body is
-    built here and shared by every per-view mapping search; target
-    pairs the index lets through / proves impossible are tallied on
-    ``stats.index_hits`` / ``stats.index_skips``.
+    One :class:`~repro.rewriting.index.PathIndex` over the query's body
+    is shared by every per-view mapping search; target pairs the index
+    lets through / proves impossible are tallied on ``stats.index_hits``
+    / ``stats.index_skips``.
     """
     tracer = tracer or NULL_TRACER
+    if session is None:
+        session = RewriteSession(views, constraints, enabled=False)
     atoms: list[CandidateAtom] = []
     profile = None
-    if signature_index is not None or signature_prefilter:
-        from ..analysis.viewset.signature import (query_profile,
-                                                  view_signature)
+    if signature_index is not None:
+        from ..analysis.viewset.signature import query_profile
         profile = query_profile(query)
-    target_index = PathIndex(query_paths(query)) if path_index else None
-    index_stats = IndexStats() if path_index else None
+    target_index = PathIndex(query_paths(query))
+    index_stats = IndexStats()
     for name in sorted(views):
         if signature_index is not None:
             signature = signature_index.signature(name)
@@ -241,27 +185,12 @@ def view_instantiations(query: Query, views: Mapping[str, Query],
                                         signature.missing_from(profile))
                 continue
         with tracer.span("enumerate_mappings", view=name) as span:
-            if session is not None:
-                view = session.view_plan(name, tracer=tracer,
-                                         budget=budget).query
-            else:
-                view = chase(views[name], constraints, tracer=tracer,
-                             budget=budget)
-            if signature_index is None and signature_prefilter:
-                signature = view_signature(view)
-                if not signature.admissible_for(profile):
-                    if stats is not None:
-                        stats.views_pruned_signature += 1
-                    if explain is not None:
-                        explain.view_pruned(
-                            name, signature.missing_from(profile))
-                    span.set("pruned", "signature")
-                    continue
+            view = session.prepared_view(name, tracer=tracer,
+                                         budget=budget)
             found = 0
             mapping: ContainmentMapping
             for mapping in find_mappings(view, query, budget=budget,
                                          index=target_index,
-                                         use_index=path_index,
                                          index_stats=index_stats):
                 instantiated = view.head.substitute(mapping.subst)
                 atoms.append(CandidateAtom(Condition(instantiated, name),
@@ -276,7 +205,7 @@ def view_instantiations(query: Query, views: Mapping[str, Query],
                                             query_paths(query))
                 explain.mapping_refuted(name, obstacle)
                 span.set("refuted", True)
-    if stats is not None and index_stats is not None:
+    if stats is not None:
         stats.index_hits += index_stats.hits
         stats.index_skips += index_stats.skips
     return atoms
@@ -291,8 +220,6 @@ def rewrite(query: Query,
             prune_subsumed: bool = True,
             first_only: bool = False,
             max_candidates: int | None = None,
-            signature_prefilter: bool = True,
-            path_index: bool = True,
             tracer=None,
             budget=None,
             metrics=None,
@@ -321,25 +248,6 @@ def rewrite(query: Query,
     max_candidates:
         Safety cap on the number of candidates tested.  Hitting it sets
         ``stats.truncated`` with ``stop_reason="max_candidates"``.
-    signature_prefilter:
-        Skip views whose label signature cannot embed into the query
-        (default True).  The check is a *sound* necessary condition for
-        a containment mapping to exist (see
-        :mod:`repro.analysis.viewset.signature`), so the rewriting set
-        is unchanged -- only Step 1A work is saved; skipped views are
-        counted in ``stats.views_pruned_signature``.  Deliberately not
-        part of the session memo key: on or off, the memoized result is
-        the same.
-    path_index:
-        Use the label/source/depth path index
-        (:mod:`repro.rewriting.index`) to restrict every mapping search
-        to statically compatible target conditions (default True).  The
-        pruning is sound, so -- like the signature pre-filter -- the
-        rewriting set and the mapping enumeration order are unchanged
-        and the flag is not part of the session memo key; tallies land
-        in ``stats.index_hits`` / ``stats.index_skips``.  ``False``
-        (the ``--no-path-index`` escape hatch) restores the exhaustive
-        scan.
     tracer:
         Optional :class:`repro.obs.Tracer`; records the span tree
         ``rewrite`` > ``prepare``/``enumerate_mappings``/``candidate`` >
@@ -350,9 +258,10 @@ def rewrite(query: Query,
         returned with ``stats.truncated=True`` and ``stop_reason`` set.
     metrics:
         Optional :class:`repro.obs.MetricsRegistry`; the run's counters
-        are recorded under ``rewrite.*`` when it finishes, and the
-        rewrite / chase / compose / equivalence phases feed the
-        ``phase.seconds{phase=...}`` latency histogram.
+        are recorded under ``rewrite.*`` when it finishes, and each
+        ``rewrite`` / ``chase`` / ``compose`` / ``equivalence`` span the
+        run opened is observed in the ``phase.seconds{phase=...}``
+        latency histogram (on a private tracer when *tracer* is off).
     explain:
         Optional :class:`~repro.rewriting.explain.Explanation`; the
         search fills it with per-mapping and per-candidate decisions
@@ -365,74 +274,85 @@ def rewrite(query: Query,
         session's prepared views and memo tables; complete results are
         memoized per (canonical query, flags) and served on repeat
         calls.  Prefer :meth:`RewriteSession.rewrite`, which supplies
-        the matching views/constraints automatically.
+        the matching views/constraints automatically.  Without one the
+        run uses a pass-through session of its own.
+
+    Every view whose label signature cannot embed into the query is
+    skipped before Step 1A (a sound pre-filter, see
+    :mod:`repro.analysis.viewset.signature`; counted in
+    ``stats.views_pruned_signature``), and every mapping search is
+    restricted to statically compatible target conditions by the path
+    index (:mod:`repro.rewriting.index`; tallied in ``stats.index_hits``
+    / ``stats.index_skips``).  Both are sound, so neither changes the
+    rewriting set.
     """
+    if session is None:
+        session = RewriteSession(views, constraints, enabled=False)
     tracer = tracer or NULL_TRACER
-    views = _as_view_dict(views)
+    if metrics is not None and not tracer.enabled:
+        tracer = Tracer()
+    first_span = len(tracer.spans)
     flags = (heuristic, total_only, prune_subsumed, first_only,
              max_candidates)
-    with _phase(metrics, "rewrite"):
-        if session is not None:
+    try:
+        with tracer.span("rewrite", query=query.name or str(query.head),
+                         views=",".join(sorted(session.views))) as span:
             memoized = session.lookup_result(
                 query, flags, need_explanation=explain is not None)
             if memoized is not None:
                 memo_result, memo_explanation = memoized
-                with tracer.span("rewrite",
-                                 query=query.name or str(query.head),
-                                 views=",".join(sorted(views))) as span:
-                    span.set("memo", "hit")
-                    span.add("rewritings", memo_result.stats.rewritings)
+                span.set("memo", "hit")
+                span.add("rewritings", memo_result.stats.rewritings)
                 result = RewriteResult(list(memo_result.rewritings),
                                        replace(memo_result.stats))
                 if explain is not None:
                     explain.replay(memo_explanation)
-                if metrics is not None:
-                    _record_metrics(metrics, result.stats)
-                return result
-        if explain is not None:
-            explain.begin(query, views, constraints,
-                          {"heuristic": heuristic,
-                           "total_only": total_only,
-                           "prune_subsumed": prune_subsumed,
-                           "first_only": first_only,
-                           "max_candidates": max_candidates})
-        result = RewriteResult()
-        with tracer.span("rewrite", query=query.name or str(query.head),
-                         views=",".join(sorted(views))) as span:
-            try:
-                _search(query, views, constraints, heuristic, total_only,
-                        prune_subsumed, first_only, max_candidates,
-                        signature_prefilter, path_index, result,
-                        tracer, budget, session, metrics, explain)
-            except BudgetExceededError as exc:
-                result.stats.truncated = True
-                result.stats.stop_reason = exc.reason or "budget"
-            if result.stats.truncated:
-                span.set("truncated", result.stats.stop_reason)
-            span.add("candidates_tested", result.stats.candidates_tested)
-            span.add("rewritings", result.stats.rewritings)
-        if explain is not None:
-            explain.finish(result)
-        if session is not None:
-            session.store_result(query, flags, result, explain)
+            else:
+                if explain is not None:
+                    explain.begin(query, session.views, session.constraints,
+                                  {"heuristic": heuristic,
+                                   "total_only": total_only,
+                                   "prune_subsumed": prune_subsumed,
+                                   "first_only": first_only,
+                                   "max_candidates": max_candidates})
+                result = RewriteResult()
+                try:
+                    _search(query, flags, result, session, tracer, budget,
+                            explain)
+                except BudgetExceededError as exc:
+                    result.stats.truncated = True
+                    result.stats.stop_reason = exc.reason or "budget"
+                if result.stats.truncated:
+                    span.set("truncated", result.stats.stop_reason)
+                span.add("candidates_tested", result.stats.candidates_tested)
+                span.add("rewritings", result.stats.rewritings)
+                if explain is not None:
+                    explain.finish(result)
+                session.store_result(query, flags, result, explain)
+    finally:
         if metrics is not None:
-            _record_metrics(metrics, result.stats)
+            for record in tracer.spans[first_span:]:
+                if record.name in _PHASES:
+                    metrics.observe(PHASE_SECONDS, record.duration,
+                                    labels={"phase": record.name})
+    if metrics is not None:
+        _record_metrics(metrics, result.stats)
     return result
 
 
-def _search(query: Query, views: dict[str, Query],
-            constraints: StructuralConstraints | None,
-            heuristic: bool, total_only: bool, prune_subsumed: bool,
-            first_only: bool, max_candidates: int | None,
-            signature_prefilter: bool, path_index: bool,
-            result: RewriteResult, tracer, budget,
-            session=None, metrics=None, explain=None) -> None:
+def _search(query: Query, flags: tuple, result: RewriteResult,
+            session: RewriteSession, tracer, budget, explain) -> None:
     """The Section 3.4 search loop, mutating *result* in place.
 
-    Results accumulate on *result* (not a return value) so that a
+    *flags* is ``rewrite()``'s (heuristic, total_only, prune_subsumed,
+    first_only, max_candidates) tuple, the same one that keys the result
+    memo.  Results accumulate on *result* (not a return value) so that a
     :class:`~repro.errors.BudgetExceededError` unwinding from any depth
     leaves the rewritings found so far intact.
     """
+    heuristic, total_only, prune_subsumed, first_only, max_candidates = \
+        flags
+    constraints = session.constraints
     with tracer.span("prepare"):
         prepared = prepare_program([query], constraints, budget=budget,
                                    session=session)
@@ -448,39 +368,12 @@ def _search(query: Query, views: dict[str, Query],
     # candidates (batched equivalence).  Computed exactly the way
     # programs_equivalent would, so the shared components are
     # byte-identical to the per-candidate ones they replace.
-    from ..tsl.decompose import decompose_program
     target_key = program_key([target])
-    prepared_target = prepare_program([target], constraints,
-                                      budget=budget, session=session)
-    if session is not None:
-        target_components = session.decompose(prepared_target)
-    else:
-        target_components = decompose_program(prepared_target)
+    target_components = session.decompose(prepare_program(
+        [target], constraints, budget=budget, session=session))
 
-    if explain is not None:
-        # Explanations need the per-mapping events, so Step 1A bypasses
-        # the session's atom memo (prepared views are still shared; the
-        # session's signature index is too).
-        index = session.signature_index() \
-            if signature_prefilter and session is not None else None
-        atoms = view_instantiations(target, views, constraints,
-                                    tracer=tracer, budget=budget,
-                                    session=session, explain=explain,
-                                    signature_index=index,
-                                    signature_prefilter=signature_prefilter,
-                                    path_index=path_index,
-                                    stats=result.stats)
-    elif session is not None:
-        atoms = session.candidate_atoms(
-            target, tracer=tracer, budget=budget,
-            signature_prefilter=signature_prefilter,
-            path_index=path_index, stats=result.stats)
-    else:
-        atoms = view_instantiations(target, views, constraints,
-                                    tracer=tracer, budget=budget,
-                                    signature_prefilter=signature_prefilter,
-                                    path_index=path_index,
-                                    stats=result.stats)
+    atoms = session.candidate_atoms(target, tracer=tracer, budget=budget,
+                                    stats=result.stats, explain=explain)
     result.stats.mappings = len(atoms)
     if not total_only:
         atoms.extend(
@@ -554,9 +447,8 @@ def _search(query: Query, views: dict[str, Query],
                              index=result.stats.candidates_tested - 1,
                              conditions=len(body)) as span:
                 accepted, verdict, reason, detail = _test_candidate(
-                    candidate, target, views, constraints, result, tracer,
-                    budget, session, metrics, explain is not None,
-                    target_key=target_key,
+                    candidate, target, result, session, tracer, budget,
+                    explain is not None, target_key=target_key,
                     target_components=target_components)
                 span.set("accepted", accepted is not None)
                 if explain is not None:
@@ -623,16 +515,14 @@ def _record_metrics(metrics, stats: RewriteStats) -> None:
 
 
 def _test_candidate(candidate: Query, target: Query,
-                    views: Mapping[str, Query],
-                    constraints: StructuralConstraints | None,
-                    result: RewriteResult, tracer=NULL_TRACER,
-                    budget=None, session=None, metrics=None,
+                    result: RewriteResult, session: RewriteSession,
+                    tracer=NULL_TRACER, budget=None,
                     explain_active: bool = False, *,
                     target_key: str | None = None,
                     target_components=None
                     ) -> tuple[Rewriting | None, str, str | None,
                                dict | None]:
-    """Steps 1C + 2 for one candidate.
+    """Steps 1C + 2 for one candidate, over *session*'s views.
 
     Returns ``(rewriting_or_None, verdict, reason, detail)``.  The
     verdict/reason strings are cheap to produce; the expensive
@@ -641,40 +531,26 @@ def _test_candidate(candidate: Query, target: Query,
     *target_components* are ``_search``'s once-per-run precomputation
     of the right side of the Step 2 test.
     """
+    views = session.views
     try:
-        with _phase(metrics, "chase"):
-            if session is not None:
-                candidate = session.chase(candidate, tracer=tracer,
-                                          budget=budget)
-            else:
-                candidate = chase(candidate, constraints, tracer=tracer,
-                                  budget=budget)
+        candidate = session.chase(candidate, tracer=tracer, budget=budget)
     except ChaseContradictionError as exc:
         result.stats.candidates_failed_chase += 1
         return None, "failed-chase", str(exc), None
     try:
-        with _phase(metrics, "compose"):
-            composed = compose(candidate, views, tracer=tracer,
-                               budget=budget)
+        composed = compose(candidate, views, tracer=tracer, budget=budget)
     except CompositionError as exc:
         result.stats.candidates_failed_composition += 1
         return None, "failed-composition", str(exc), None
-    composed = prepare_program(composed, constraints, minimize_rules=True,
-                               budget=budget, session=session)
+    composed = prepare_program(composed, session.constraints,
+                               minimize_rules=True, budget=budget,
+                               session=session)
     result.stats.composition_rules += len(composed)
-    with _phase(metrics, "equivalence"):
-        if session is not None:
-            equivalent_verdict = session.programs_equivalent(
-                composed, [target], tracer=tracer, budget=budget,
-                right_key=target_key,
-                right_components=target_components)
-        else:
-            equivalent_verdict = programs_equivalent(
-                composed, [target], constraints, tracer=tracer,
-                budget=budget, right_components=target_components)
-    if not equivalent_verdict:
+    if not session.programs_equivalent(
+            composed, [target], tracer=tracer, budget=budget,
+            right_key=target_key, right_components=target_components):
         reason, detail = _equivalence_failure_reason(
-            composed, target, constraints, session, budget,
+            composed, target, session.constraints, session, budget,
             explain_active)
         return None, "failed-equivalence", reason, detail
     views_used = frozenset(c.source for c in candidate.body

@@ -48,17 +48,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from ..errors import ChaseContradictionError
-from ..logic.terms import Variable
+from ..errors import ChaseContradictionError, RewritingError
 from ..obs.metrics import PHASE_SECONDS
 from ..tsl.ast import Query
-from ..tsl.normalize import Path, query_paths
-from .canon import Canonical, canonicalize, program_key, rebase
+from .canon import canonicalize, program_key, rebase
 from .chase import StructuralConstraints, chase
-from .index import PathIndex
 
 #: Default per-table memo capacity.
 DEFAULT_MEMO_SIZE = 1024
@@ -66,31 +62,17 @@ DEFAULT_MEMO_SIZE = 1024
 _MISS = object()
 
 
-@dataclass(frozen=True, eq=False)
-class ViewPlan:
-    """Everything precompilable about one registered view.
-
-    Built once per (view set, constraints) pair by
-    :meth:`RewriteSession.view_plan` and shared by every rewrite call:
-    the chased + normalized body, its single-path decomposition, the
-    variable set, the label signature (for the pre-filter), and a
-    :class:`~repro.rewriting.index.PathIndex` over the view's own paths
-    (for mapping searches that *target* this view body, e.g. the
-    equivalence machinery).  Identity equality: plans are per-session
-    singletons, never compared structurally.
-    """
-
-    name: str
-    #: chased + normalized view body (what ``prepared_view`` returns).
-    query: Query
-    #: ``query_paths(query)`` -- Step 1A's source-path list.
-    paths: tuple[Path, ...]
-    #: every variable of the prepared body (renaming-apart support).
-    variables: frozenset[Variable]
-    #: label signature of the prepared body (pre-filter input).
-    signature: object
-    #: inverted index over ``paths``.
-    index: PathIndex
+def _as_view_dict(views: Union[Mapping[str, Query], Sequence[Query]]
+                  ) -> dict[str, Query]:
+    if isinstance(views, Mapping):
+        return dict(views)
+    out: dict[str, Query] = {}
+    for index, view in enumerate(views):
+        name = view.name or f"V{index + 1}"
+        if name in out:
+            raise RewritingError(f"duplicate view name {name!r}")
+        out[name] = view
+    return out
 
 
 class MemoTable:
@@ -207,23 +189,24 @@ class RewriteSession:
         Optional :class:`~repro.obs.MetricsRegistry` receiving
         ``cache.*`` counters.
     enabled:
-        ``False`` turns every table into a pass-through (the
-        ``--no-memo`` baseline measured by benchmark E10) while keeping
-        a single code path.
+        ``False`` turns every memo table into a pass-through.
+        :func:`~repro.rewriting.rewriter.rewrite` runs on such a session
+        when its caller supplies none, so there is one code path.
+        Prepared views and the signature index are kept either way:
+        they depend only on the (views, constraints) pair.
     """
 
     def __init__(self, views: Union[Mapping[str, Query], Sequence[Query]],
                  constraints: StructuralConstraints | None = None, *,
                  memo_size: int = DEFAULT_MEMO_SIZE,
                  metrics=None, enabled: bool = True) -> None:
-        from .rewriter import _as_view_dict
         self.views = _as_view_dict(views)
         self.constraints = constraints
         self.memo_size = memo_size
         self.metrics = metrics
         self.enabled = enabled
-        self._prepared_views: dict[str, Query] = {}
-        self._view_plans: dict[str, ViewPlan] = {}
+        #: view name -> (chased body, label signature of that body)
+        self._prepared_views: dict[str, tuple] = {}
         self._signature_index = None
         # Guards _prepared_views and _signature_index (the memo tables
         # carry their own locks); see the module docstring for order.
@@ -246,11 +229,9 @@ class RewriteSession:
     def update_views(self, views: Union[Mapping[str, Query],
                                         Sequence[Query]]) -> None:
         """Swap the view set; keeps the view-independent memos warm."""
-        from .rewriter import _as_view_dict
         with self._lock:
             self.views = _as_view_dict(views)
             self._prepared_views.clear()
-            self._view_plans.clear()
             self._signature_index = None
             self._atoms.clear()
             self._results.clear()
@@ -259,60 +240,35 @@ class RewriteSession:
                       budget=None) -> Query:
         """The chased + normalized form of view *name*, computed once.
 
-        The chase runs outside the session lock: two threads may race
-        to prepare the same view, but the chase is deterministic and
-        ``setdefault`` keeps the first copy, so every caller shares one
-        object.
+        Raises :class:`~repro.errors.ChaseContradictionError` when the
+        view's body contradicts the key dependency (nothing is kept
+        then).  The chase runs outside the session lock: two threads
+        may race to prepare the same view, but the chase is
+        deterministic and ``setdefault`` keeps the first copy, so every
+        caller shares one object.
         """
+        return self._prepare(name, tracer, budget)[0]
+
+    def _prepare(self, name: str, tracer, budget) -> tuple:
         with self._lock:
             prepared = self._prepared_views.get(name)
         if prepared is None:
-            prepared = chase(self.views[name], self.constraints,
-                             tracer=tracer, budget=budget)
-            if self.enabled:
-                with self._lock:
-                    prepared = self._prepared_views.setdefault(
-                        name, prepared)
+            from ..analysis.viewset.signature import view_signature
+            query = chase(self.views[name], self.constraints,
+                          tracer=tracer, budget=budget)
+            with self._lock:
+                prepared = self._prepared_views.setdefault(
+                    name, (query, view_signature(query)))
         return prepared
-
-    def view_plan(self, name: str, *, tracer=None,
-                  budget=None) -> ViewPlan:
-        """The precompiled :class:`ViewPlan` for view *name*.
-
-        Extends :meth:`prepared_view` (whose chased query the plan
-        embeds) with the derived artifacts every rewrite call otherwise
-        recomputes: the path decomposition, the variable set, the label
-        signature, and the per-view path index.  Raises
-        :class:`~repro.errors.ChaseContradictionError` exactly when
-        ``prepared_view`` does.  Same race discipline: built outside the
-        session lock, first copy wins.
-        """
-        from ..analysis.viewset.signature import view_signature
-        with self._lock:
-            plan = self._view_plans.get(name)
-        if plan is None:
-            prepared = self.prepared_view(name, tracer=tracer,
-                                          budget=budget)
-            paths = tuple(query_paths(prepared))
-            plan = ViewPlan(name=name, query=prepared, paths=paths,
-                            variables=frozenset(prepared.all_variables()),
-                            signature=view_signature(prepared),
-                            index=PathIndex(paths))
-            if self.enabled:
-                with self._lock:
-                    plan = self._view_plans.setdefault(name, plan)
-        return plan
 
     def signature_index(self, *, tracer=None, budget=None):
         """The label-signature index of this session's view set.
 
-        Built lazily from the precompiled view plans -- sharing the
-        per-view chase and signature with Step 1A -- and invalidated by
+        Built lazily from the prepared views -- sharing the per-view
+        chase and signature with Step 1A -- and invalidated by
         :meth:`update_views`.  Views whose body is contradictory are
         left out: the pre-filter never prunes a view it has no
-        signature for.  The index is a pure function of the (views,
-        constraints) pair, so it is kept even with ``enabled=False``
-        (it is not a memo of per-query work).
+        signature for.
         """
         from ..analysis.viewset.signature import LabelSignatureIndex
         with self._lock:
@@ -321,11 +277,10 @@ class RewriteSession:
             signatures = {}
             for name in sorted(self.views):
                 try:
-                    plan = self.view_plan(name, tracer=tracer,
-                                          budget=budget)
+                    signatures[name] = self._prepare(name, tracer,
+                                                     budget)[1]
                 except ChaseContradictionError:
                     continue
-                signatures[name] = plan.signature
             index = LabelSignatureIndex(signatures)
             with self._lock:
                 if self._signature_index is None:
@@ -441,30 +396,25 @@ class RewriteSession:
     # -- candidate atoms and whole-result memoization ------------------------
 
     def candidate_atoms(self, target: Query, *, tracer=None, budget=None,
-                        signature_prefilter: bool = False,
-                        path_index: bool = True, stats=None):
+                        stats=None, explain=None):
         """Memoized Step 1A over the prepared views.
 
+        Views the :meth:`signature_index` proves irrelevant are skipped.
         ``covers`` indices are positions in the target's path list, so a
-        hit is only served for a structurally identical target.  With
-        *signature_prefilter*, Step 1A consults
-        :meth:`signature_index`; the memo key includes that flag and
-        *path_index* (the atoms are identical either way -- pre-filter
-        and path index are both sound -- but the pruned/hit/skip counts
-        stored with the entry are not), and a hit replays those counts
-        onto *stats*.
+        hit is only served for a structurally identical target; it
+        replays the pruned/hit/skip counts stored with the entry onto
+        *stats*.  A run with an *explain* log bypasses the memo, since
+        the log needs the per-mapping events.
         """
         from .rewriter import RewriteStats, view_instantiations
-        index = self.signature_index(tracer=tracer, budget=budget) \
-            if signature_prefilter else None
-        if not self.enabled:
+        index = self.signature_index(tracer=tracer, budget=budget)
+        if not self.enabled or explain is not None:
             return view_instantiations(target, self.views,
                                        self.constraints, tracer=tracer,
                                        budget=budget, session=self,
-                                       signature_index=index,
-                                       path_index=path_index, stats=stats)
-        probe = canonicalize(target)
-        key = (probe.key, signature_prefilter, path_index)
+                                       explain=explain,
+                                       signature_index=index, stats=stats)
+        key = canonicalize(target).key
         value = self._atoms.peek(key)
         if value is not _MISS:
             stored, atoms, pruned, hits, skips = value
@@ -480,7 +430,7 @@ class RewriteSession:
         atoms = view_instantiations(target, self.views, self.constraints,
                                     tracer=tracer, budget=budget,
                                     session=self, signature_index=index,
-                                    path_index=path_index, stats=counter)
+                                    stats=counter)
         if stats is not None:
             stats.views_pruned_signature += counter.views_pruned_signature
             stats.index_hits += counter.index_hits

@@ -194,8 +194,8 @@ def test_memo_oracle_compares_seeded_corpus(monkeypatch):
 
 def test_overeager_prefilter_is_caught(monkeypatch):
     # A signature pre-filter that prunes every view silently discards
-    # real rewritings; the signature oracle reports the parity break
-    # (and the brute-force soundness check refutes the verdicts too).
+    # real rewritings; the brute-force soundness check of the signature
+    # oracle refutes the verdicts.
     monkeypatch.setattr(signature_mod.ViewSignature, "admissible_for",
                         lambda self, profile: False)
     report = run_fuzz(FuzzConfig(seed=0, iterations=8,
@@ -205,10 +205,30 @@ def test_overeager_prefilter_is_caught(monkeypatch):
     assert invariants & {"prefilter-parity", "prefilter-unsound"}
 
 
+def test_index_pruning_an_admissible_view_is_caught(monkeypatch):
+    # A signature index that refutes the exposing view -- admissible by
+    # construction -- prunes a view the oracle's own signatures admit.
+    # The brute-force soundness check never sees that view, so only the
+    # parity check between the EXPLAIN log and the oracle catches it.
+    orig = signature_mod.LabelSignatureIndex.signature
+    impossible = signature_mod.ViewSignature(
+        frozenset({"no-such-label"}), frozenset(), frozenset())
+
+    def pruning(self, name):
+        return impossible if name == "V" else orig(self, name)
+
+    monkeypatch.setattr(signature_mod.LabelSignatureIndex, "signature",
+                        pruning)
+    report = run_fuzz(FuzzConfig(seed=0, iterations=8,
+                                 oracles=("signature",), shrink=False))
+    assert not report.ok
+    assert {f.invariant for f in report.failures} == {"prefilter-parity"}
+
+
 def test_signature_oracle_parity_campaign():
     # Acceptance criterion: the pruning-parity oracle stays green over
-    # >= 500 seeded iterations (pre-filter on vs off canonically
-    # identical, and every inadmissible view brute-force refuted).
+    # >= 500 seeded iterations (the rewriter prunes exactly the views
+    # the signatures refute, and every one is brute-force refuted).
     report = run_fuzz(FuzzConfig(seed=7, iterations=500,
                                  oracles=("signature",)))
     assert report.ok, "\n".join(f.message for f in report.failures)

@@ -9,7 +9,8 @@ exactly what the budgets exist to contain.
 import pytest
 
 from repro.obs import Budget, MetricsRegistry, Tracer
-from repro.rewriting import maximally_contained_rewritings, rewrite
+from repro.rewriting import (RewriteSession, maximally_contained_rewritings,
+                             paper_dtd, rewrite)
 from repro.rewriting.rewriter import RewriteResult, _test_candidate
 from repro.tsl import parse_query
 from repro.workloads import (condition_view, k_conditions_query, query_q3,
@@ -126,8 +127,8 @@ class TestFailureCounters:
         candidate = parse_query(
             '<f(P) ans V> :- <P pub V>@V AND <P x "a">@V AND <P y "b">@V')
         result = RewriteResult()
-        accepted, verdict, _, _ = _test_candidate(candidate, target,
-                                                  {"V": view}, None, result)
+        accepted, verdict, _, _ = _test_candidate(
+            candidate, target, result, RewriteSession({"V": view}))
         assert accepted is None
         assert verdict == "failed-chase"
         assert result.stats.candidates_failed_chase == 1
@@ -141,8 +142,8 @@ class TestFailureCounters:
         # corner compose() rejects with CompositionError.
         candidate = parse_query('<f(P) ans V> :- <P pub V>@V')
         result = RewriteResult()
-        accepted, verdict, _, _ = _test_candidate(candidate, target,
-                                                  {"V": view}, None, result)
+        accepted, verdict, _, _ = _test_candidate(
+            candidate, target, result, RewriteSession({"V": view}))
         assert accepted is None
         assert verdict == "failed-composition"
         assert result.stats.candidates_failed_composition == 1
@@ -203,6 +204,30 @@ class TestTracing:
         assert counters["rewrite.runs"] == 1
         assert counters["rewrite.rewritings"] == 1
         assert counters["rewrite.candidates_tested"] >= 1
+
+    def test_phase_seconds_agree_with_the_run_spans(self):
+        # phase.seconds is read from the spans the run opened -- only
+        # those: the span already open on the caller's tracer is not one.
+        tracer, registry = Tracer(), MetricsRegistry()
+        with tracer.span("request"):
+            rewrite(query_q3(), {"V1": view_v1()}, paper_dtd(),
+                    tracer=tracer, metrics=registry)
+        # Without a tracer the run times itself on a private one.
+        untraced = MetricsRegistry()
+        rewrite(query_q3(), {"V1": view_v1()}, paper_dtd(),
+                metrics=untraced)
+        histograms = registry.snapshot()["histograms"]
+        counts = {name: hist["count"] for name, hist
+                  in untraced.snapshot()["histograms"].items()}
+        for phase in ("rewrite", "chase", "compose", "equivalence"):
+            spans = [span for span in tracer.spans if span.name == phase]
+            name = f"phase.seconds{{phase={phase}}}"
+            assert histograms[name]["count"] == len(spans) > 0
+            assert histograms[name]["sum"] == pytest.approx(
+                sum(span.duration for span in spans), rel=1e-9)
+            assert counts[name] == len(spans)
+        assert set(counts) == set(
+            name for name in histograms if name.startswith("phase."))
 
     def test_metrics_recorded_on_truncated_run(self):
         # Regression: stop_reason is a str on truncated runs and must not

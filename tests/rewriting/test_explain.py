@@ -79,17 +79,17 @@ class TestPrunedCandidates:
         assert "<P a {<X2 c Z>}>@db" in pruned[0].reason
 
     def test_refuted_mapping_reports_the_obstacle(self):
-        # With the signature pre-filter off, the mapping enumerator
-        # itself refutes the view and names the first failing label.
+        # The view's labels all occur in the query, so the signature
+        # pre-filter lets it through; the mapping enumerator itself
+        # refutes it and names the first failing label.
         query = parse_query('<f(P) ans yes> :- <P a {<X b Y>}>@db')
         view = parse_query('<g(P) vz {<h(X) z2 Y>}> :- '
-                           '<P zzz {<X qqq Y>}>@db', name="VZ")
-        _, explanation = explain_rewrite(query, {"VZ": view},
-                                         signature_prefilter=False)
+                           '<P b {<X a Y>}>@db', name="VZ")
+        _, explanation = explain_rewrite(query, {"VZ": view})
         refuted = [m for m in explanation.mappings if not m.found]
         assert refuted and refuted[0].view == "VZ"
         assert refuted[0].verdict is None
-        assert "label zzz" in refuted[0].obstacle
+        assert "label b" in refuted[0].obstacle
 
     def test_signature_prefilter_prunes_before_enumeration(self):
         # Same configuration with the pre-filter on (the default): the

@@ -5,18 +5,18 @@ Covers the PR's tentpole invariant -- the indexed mapping search is
 same order) -- plus the satellite fixes: the most-constrained-first sort
 key counts constants and bound variables, ``component_mapping`` returns
 substitutions over fully un-renamed domains, the fast chase kernels
-agree with the reference kernels kept here, view plans are cached per
-session,
-and the ``rewrite.index.*`` metrics / ``path_index`` flag plumbing.
+agree with the reference kernels kept here, prepared views are cached per
+session, and the ``rewrite.index.*`` metrics plumbing.
 """
 
 import importlib
 
 import pytest
 
+from repro.analysis.viewset.signature import view_signature
 from repro.logic.subst import Substitution
 from repro.obs import MetricsRegistry
-from repro.rewriting import (PathIndex, RewriteSession, ViewPlan,
+from repro.rewriting import (PathIndex, RewriteSession,
                              most_constrained_order, paper_dtd,
                              programs_equivalent, rewrite,
                              statically_compatible)
@@ -353,25 +353,28 @@ class TestChaseLegacyParity:
 
 
 # --------------------------------------------------------------------------
-# View plans: built once, embed the prepared view, invalidated on swap
+# Prepared views: built once with their signature, invalidated on swap
 # --------------------------------------------------------------------------
 
 class TestViewPlans:
     def test_plan_is_cached_and_complete(self):
-        session = RewriteSession({"V1": view_v1()})
-        plan = session.view_plan("V1")
-        assert isinstance(plan, ViewPlan)
-        assert session.view_plan("V1") is plan
-        assert plan.query is session.prepared_view("V1")
-        assert list(plan.paths) == query_paths(plan.query)
-        assert isinstance(plan.index, PathIndex)
-        assert plan.variables == frozenset(plan.query.all_variables())
+        # Kept even by a pass-through session, with their signatures:
+        # they depend only on the (views, constraints) pair.
+        for enabled in (True, False):
+            session = RewriteSession({"V1": view_v1()}, enabled=enabled)
+            v1 = session.prepared_view("V1")
+            assert session.prepared_view("V1") is v1
+            assert query_key(v1) == query_key(chase(view_v1(), None))
+            assert session.signature_index().signature("V1") == \
+                view_signature(v1)
 
     def test_update_views_invalidates_plans(self):
         session = RewriteSession({"V1": view_v1()})
-        plan = session.view_plan("V1")
+        v1 = session.prepared_view("V1")
+        index = session.signature_index()
         session.update_views({"V1": view_v1()})
-        assert session.view_plan("V1") is not plan
+        assert session.prepared_view("V1") is not v1
+        assert session.signature_index() is not index
 
 
 # --------------------------------------------------------------------------
@@ -395,17 +398,25 @@ class TestRightComponents:
 
 
 # --------------------------------------------------------------------------
-# Flag + metrics plumbing (mirrors the signature pre-filter's contract)
+# Rewriting parity and metrics plumbing (mirrors the signature pre-filter)
 # --------------------------------------------------------------------------
 
 class TestFlagAndMetrics:
     def views(self):
         return {"V1": condition_view(1), "V2": condition_view(2)}
 
-    def test_no_path_index_gives_identical_rewritings(self):
+    def test_no_path_index_gives_identical_rewritings(self, monkeypatch):
+        # Step 1A's mapping searches forced onto the exhaustive scan
+        # find the same rewritings and tally no index work.
+        rewriter = importlib.import_module("repro.rewriting.rewriter")
         query = k_conditions_query(2)
         on = rewrite(query, self.views())
-        off = rewrite(query, self.views(), path_index=False)
+        monkeypatch.setattr(
+            rewriter, "find_mappings",
+            lambda view, target, **kwargs: find_mappings(
+                view, target, budget=kwargs.get("budget"),
+                use_index=False))
+        off = rewrite(query, self.views())
         assert fingerprint(on) == fingerprint(off)
         assert on.rewritings
         assert off.stats.index_hits == 0
@@ -421,26 +432,15 @@ class TestFlagAndMetrics:
         assert result.stats.index_hits > 0
 
     def test_index_skips_on_label_disjoint_views(self):
-        # condition_view(9) matches none of q's labels: with the
-        # signature pre-filter off, only the path index stands between
-        # it and a doomed mapping search.
+        # condition_view(9) matches none of q's labels: without a
+        # signature index, only the path index stands between it and a
+        # doomed mapping search.
+        from repro.rewriting import view_instantiations
         views = {"V1": condition_view(1), "V9": condition_view(9)}
-        result = rewrite(k_conditions_query(1), views,
-                         signature_prefilter=False)
-        assert result.stats.index_skips > 0
-
-    def test_memo_hit_across_path_index_settings(self):
-        # Sound pruning: path_index is deliberately NOT part of the
-        # result-memo key, so a warm session serves the same entry.
-        from repro.rewriting import Explanation
-        session = RewriteSession(self.views())
-        query = k_conditions_query(2)
-        cold = session.rewrite(query, explain=Explanation())
-        warm_explain = Explanation()
-        warm = session.rewrite(query, path_index=False,
-                               explain=warm_explain)
-        assert fingerprint(warm) == fingerprint(cold)
-        assert warm_explain.memo == "hit"
+        stats = RewriteStats()
+        view_instantiations(chase(k_conditions_query(1), None), views,
+                            stats=stats)
+        assert stats.index_skips > 0
 
     def test_atoms_memo_replays_index_counts(self):
         session = RewriteSession(self.views())
@@ -452,7 +452,3 @@ class TestFlagAndMetrics:
         assert warm == cold
         assert (warm_stats.index_hits, warm_stats.index_skips) == \
             (cold_stats.index_hits, cold_stats.index_skips)
-        off_stats = RewriteStats()
-        session.candidate_atoms(target, path_index=False,
-                                stats=off_stats)
-        assert off_stats.index_hits == 0

@@ -1,5 +1,7 @@
 """Tests for memoized rewrite sessions (prepared views + memo tables)."""
 
+import importlib
+
 import pytest
 
 from repro.errors import ChaseContradictionError
@@ -9,7 +11,8 @@ from repro.rewriting import (MemoTable, RewriteSession, chase, query_key,
 from repro.rewriting.session import _MISS
 from repro.tsl import parse_query
 from repro.workloads import (condition_view, conference_query,
-                             k_conditions_query, sigmod_97_query)
+                             conference_view, k_conditions_query, query_q3,
+                             sigmod_97_query, view_v1)
 
 
 def fingerprint(result):
@@ -159,6 +162,25 @@ class TestSessionRewrite:
         session = RewriteSession(views)
         v1 = session.prepared_view("V1")
         assert session.prepared_view("V1") is v1
+
+    def test_disabled_session_chases_each_view_once(self, monkeypatch):
+        # The signature index and Step 1A share each prepared view, so
+        # one rewrite chases every view once, pruned or not.
+        session_mod = importlib.import_module("repro.rewriting.session")
+        views = {"V1": view_v1(), "VC": conference_view("sigmod", "VC")}
+        chased = []
+        real_chase = session_mod.chase
+
+        def counting_chase(query, *args, **kwargs):
+            chased.extend(name for name, view in views.items()
+                          if view is query)
+            return real_chase(query, *args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "chase", counting_chase)
+        result = RewriteSession(views, enabled=False).rewrite(query_q3())
+        assert result.rewritings
+        assert result.stats.views_pruned_signature == 1
+        assert sorted(chased) == ["V1", "VC"]
 
     def test_update_views_keeps_chase_memo(self, views):
         session = RewriteSession(views)

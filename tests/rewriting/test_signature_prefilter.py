@@ -33,7 +33,7 @@ class TestPruning:
         query = k_conditions_query(2)
         views = mixed_views(live=2, dead=5)
         on = rewrite(query, views)
-        off = rewrite(query, views, signature_prefilter=False)
+        off = rewrite(query, mixed_views(live=2, dead=0))
         assert fingerprint(on) == fingerprint(off)
         assert on.rewritings
         assert on.stats.views_pruned_signature == 5
@@ -48,12 +48,13 @@ class TestPruning:
 
     def test_parity_on_the_paper_workload(self):
         views = {"V1": view_v1()}
+        with_dead = dict(views, **mixed_views(live=0, dead=3))
         for query in (query_q3(), query_q7()):
             for constraints in (None, paper_dtd()):
-                on = rewrite(query, views, constraints)
-                off = rewrite(query, views, constraints,
-                              signature_prefilter=False)
+                on = rewrite(query, with_dead, constraints)
+                off = rewrite(query, views, constraints)
                 assert fingerprint(on) == fingerprint(off)
+                assert on.stats.views_pruned_signature == 3
 
     def test_explicit_index_is_consulted(self):
         query = k_conditions_query(1)
@@ -86,46 +87,16 @@ class TestSessionPlumbing:
         assert rebuilt is not index
         assert len(rebuilt) == 1
 
-    def test_memo_hit_across_prefilter_settings(self):
-        # The pre-filter is sound, so it is deliberately NOT part of the
-        # result-memo key: a warm session serves the same entry whether
-        # the flag is on or off.
-        from repro.rewriting import Explanation
-        session = RewriteSession(mixed_views(live=2, dead=5))
-        query = k_conditions_query(2)
-        cold = session.rewrite(query, explain=Explanation())
-        warm_explain = Explanation()
-        warm = session.rewrite(query, signature_prefilter=False,
-                               explain=warm_explain)
-        assert fingerprint(warm) == fingerprint(cold)
-        assert warm_explain.memo == "hit"
-
     def test_atoms_memo_replays_the_pruned_count(self):
         session = RewriteSession(mixed_views(live=2, dead=5))
         target = chase(k_conditions_query(2), None)
         cold_stats = RewriteStats()
-        cold = session.candidate_atoms(target, signature_prefilter=True,
-                                       stats=cold_stats)
+        cold = session.candidate_atoms(target, stats=cold_stats)
         warm_stats = RewriteStats()
-        warm = session.candidate_atoms(target, signature_prefilter=True,
-                                       stats=warm_stats)
+        warm = session.candidate_atoms(target, stats=warm_stats)
         assert warm == cold
         assert cold_stats.views_pruned_signature == 5
         assert warm_stats.views_pruned_signature == 5
-
-    def test_atoms_memo_keys_include_the_flag(self):
-        session = RewriteSession(mixed_views(live=2, dead=5))
-        target = chase(k_conditions_query(2), None)
-        on_stats = RewriteStats()
-        on = session.candidate_atoms(target, signature_prefilter=True,
-                                     stats=on_stats)
-        off_stats = RewriteStats()
-        off = session.candidate_atoms(target, signature_prefilter=False,
-                                      stats=off_stats)
-        assert off_stats.views_pruned_signature == 0
-        # Sound pruning: the surviving atoms are identical either way.
-        assert {str(a.condition) for a in on} == \
-            {str(a.condition) for a in off}
 
     def test_disabled_session_still_prunes(self):
         query = k_conditions_query(2)
@@ -144,8 +115,7 @@ class TestExplainParity:
         views = mixed_views(live=1, dead=4)
         on, off = Explanation(), Explanation()
         r_on = rewrite(query, views, explain=on)
-        r_off = rewrite(query, views, explain=off,
-                        signature_prefilter=False)
+        r_off = rewrite(query, mixed_views(live=1, dead=0), explain=off)
         assert fingerprint(r_on) == fingerprint(r_off)
         assert on.rewritings == off.rewritings
         pruned = [m for m in on.mappings

@@ -117,6 +117,20 @@ class TestDebugRequests:
         # Summaries never carry the heavy detail.
         assert "trace" not in record and "explain" not in record
 
+    def test_recorded_phases_match_the_phase_histograms(self, srv):
+        # One request on a fresh server: the recorder's per-span-name
+        # totals and phase.seconds are read from the same spans.
+        status, headers, _body = srv.request_full("POST", "/rewrite",
+                                                  rewrite_body())
+        assert status == 200
+        record = srv.server.recorder.get(headers["x-repro-request-id"])
+        histograms = srv.server.registry.snapshot()["histograms"]
+        for phase in ("rewrite", "chase", "compose", "equivalence"):
+            hist = histograms[f"phase.seconds{{phase={phase}}}"]
+            assert hist["count"] > 0
+            assert record.phases[phase] == pytest.approx(
+                hist["sum"] * 1e3, rel=1e-9)
+
     def test_unknown_request_id_is_404(self, srv):
         status, body = srv.get("/debug/requests/nope")
         assert status == 404
