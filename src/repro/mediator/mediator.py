@@ -19,7 +19,7 @@ from ..oem.model import OemDatabase
 from ..rewriting.canon import canonicalize
 from ..rewriting.chase import StructuralConstraints
 from ..rewriting.composition import compose
-from ..rewriting.session import DEFAULT_MEMO_SIZE, MemoTable
+from ..rewriting.session import MemoTable
 from ..tsl.ast import Query
 from ..tsl.parser import parse_query
 from .cbr import Plan, plan_query
@@ -38,8 +38,6 @@ class Mediator:
     constraints: StructuralConstraints | None = None
     cost_model: CostModel = field(default_factory=CostModel)
     tracer: Tracer | None = None
-    memoize: bool = True
-    memo_size: int = DEFAULT_MEMO_SIZE
     metrics: object | None = None
     wrappers: dict[str, Wrapper] = field(init=False, default_factory=dict)
     _expansions: MemoTable = field(init=False, repr=False)
@@ -51,8 +49,8 @@ class Mediator:
                     f"source registered as {name!r} is named "
                     f"{source.name!r}")
             self.wrappers[name] = Wrapper(source)
-        self._expansions = MemoTable("mediator.expand", self.memo_size,
-                                     self.metrics)
+        self._expansions = MemoTable("mediator.expand",
+                                     metrics=self.metrics)
 
     # -- registration --------------------------------------------------------
 
@@ -87,21 +85,19 @@ class Mediator:
         tracer = self.tracer or NULL_TRACER
         if not (query.sources() & set(self.integrated_views)):
             return [query]
-        if self.memoize:
-            probe = canonicalize(query)
-            value = self._expansions.peek(probe.key, None)
-            if value is not None:
-                stored, rules = value
-                if stored == query:
-                    self._expansions.record_hit()
-                    return list(rules)
-            self._expansions.record_miss()
+        key = canonicalize(query).key
+        value = self._expansions.peek(key, None)
+        if value is not None:
+            stored, rules = value
+            if stored == query:
+                self._expansions.record_hit()
+                return list(rules)
+        self._expansions.record_miss()
         rules = compose(query, self.integrated_views, tracer=tracer)
         if not rules:
             raise MediatorError(
                 "the query is unsatisfiable against the integrated views")
-        if self.memoize:
-            self._expansions.put(probe.key, (query, tuple(rules)))
+        self._expansions.put(key, (query, tuple(rules)))
         return rules
 
     def plan(self, query: Query | str) -> list[Plan]:

@@ -36,8 +36,9 @@ memo
     :class:`~repro.rewriting.session.RewriteSession` -- cold and warm
     (the second call over the same session exercises every memo hit
     path) -- returns exactly the rewriting set of the unmemoized
-    pipeline, compared by canonical hash, and the session's memoized
-    chase agrees with the plain chase.
+    pipeline (a zero-capacity session, which must serve no memo hit),
+    compared by canonical hash, and the session's memoized chase agrees
+    with the plain chase.
 
 signature
     Exactness and soundness of the label-signature pre-filter
@@ -567,7 +568,9 @@ class MemoOracle:
     :class:`~repro.rewriting.session.RewriteSession`, and again through
     the now-warm session (serving from the result memo) -- and demands
     the identical rewriting set, compared by the canonical hash of each
-    rewriting query plus the views it uses.
+    rewriting query plus the views it uses.  The unmemoized reference
+    runs on the ``memo_size=0`` session a sessionless ``rewrite`` uses,
+    and must serve zero memo hits, or the comparison would be vacuous.
     """
 
     name = "memo"
@@ -583,8 +586,17 @@ class MemoOracle:
     def check(self, case: Case) -> OracleResult:
         result = OracleResult()
         constraints = case.constraints
+        reference = RewriteSession(case.views, constraints, memo_size=0)
         plain = rewrite(case.query, case.views, constraints,
-                        max_candidates=self.max_candidates)
+                        max_candidates=self.max_candidates,
+                        session=reference)
+        result.checks += 1
+        served = sum(table["hits"] for table in reference.stats().values())
+        if served:
+            result.failures.append(Failure(
+                self.name, "reference-memoized",
+                f"the unmemoized reference run served {served} memo "
+                f"hit(s)"))
         if plain.truncated:
             return result  # partial sets may legitimately differ
         expected = self._fingerprint(plain)

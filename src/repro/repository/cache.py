@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from ..oem.model import OemDatabase
 from ..rewriting.canon import query_key
 from ..rewriting.chase import StructuralConstraints
-from ..rewriting.session import DEFAULT_MEMO_SIZE, RewriteSession
+from ..rewriting.session import RewriteSession
 from ..tsl.ast import Query
 from ..tsl.evaluator import evaluate
 
@@ -90,17 +90,17 @@ class CacheStats:
 class QueryCache:
     """An LRU cache of query answers, consulted via query rewriting.
 
-    ``memoize=False`` disables the shared rewrite session (every lookup
-    re-runs the full search; the pass-through baseline of benchmark
-    E10).  *metrics* receives ``cache.lookup.{hits,misses}`` and
+    Every lookup rewrites through the one shared
+    :class:`~repro.rewriting.session.RewriteSession` of :meth:`session`
+    (benchmark E10 measures it against a one-shot ``rewrite()`` over
+    the same statements).  *metrics* receives
+    ``cache.lookup.{hits,misses}`` and
     ``cache.entries.{evictions,invalidations}`` counters plus the
     session's ``cache.*`` memo counters.
     """
 
     capacity: int = 16
     constraints: StructuralConstraints | None = None
-    memoize: bool = True
-    memo_size: int = DEFAULT_MEMO_SIZE
     metrics: object | None = None
     entries: "OrderedDict[str, CacheEntry]" = field(
         default_factory=OrderedDict)
@@ -136,8 +136,7 @@ class QueryCache:
                          for name, entry in self.entries.items()}
                 if self._session_template is None:
                     self._session_template = RewriteSession(
-                        views, self.constraints, memo_size=self.memo_size,
-                        metrics=self.metrics, enabled=self.memoize)
+                        views, self.constraints, metrics=self.metrics)
                 else:
                     self._session_template.update_views(views)
                 self._session = self._session_template

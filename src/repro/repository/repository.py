@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from ..logic.terms import Atom
 from ..oem.model import OemDatabase, OidLike, as_oid
 from ..rewriting.chase import StructuralConstraints
-from ..rewriting.rewriter import rewrite
 from ..tsl.ast import Query
 from ..tsl.evaluator import evaluate
 from ..tsl.parser import parse_query
@@ -58,33 +57,29 @@ class Repository:
     cache: QueryCache = field(init=False)
     constraints: StructuralConstraints | None = None
     cache_capacity: int = 16
-    cache_memoize: bool = True
     metrics: object | None = None
     _cache_store: object | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.views = ViewManager(self.store)
+        self.views = ViewManager(self.store, constraints=self.constraints)
         self.cache = QueryCache(capacity=self.cache_capacity,
                                 constraints=self.constraints,
-                                memoize=self.cache_memoize,
                                 metrics=self.metrics)
 
     @classmethod
     def from_database(cls, db: OemDatabase,
                       constraints: StructuralConstraints | None = None,
                       cache_capacity: int = 16, *,
-                      cache_memoize: bool = True,
                       metrics=None) -> "Repository":
         repo = cls(Store.wrap(db), constraints=constraints,
-                   cache_capacity=cache_capacity,
-                   cache_memoize=cache_memoize, metrics=metrics)
+                   cache_capacity=cache_capacity, metrics=metrics)
         return repo
 
     @classmethod
     def open(cls, root: str | Path,
              constraints: StructuralConstraints | None = None,
-             cache_capacity: int = 1024, *, cache_memoize: bool = True,
-             autocompact_ops: int = 0, metrics=None) -> "Repository":
+             cache_capacity: int = 1024, *, autocompact_ops: int = 0,
+             metrics=None) -> "Repository":
         """Open a persistent repository rooted at *root*.
 
         The base store loads snapshot + WAL
@@ -99,8 +94,7 @@ class Repository:
         store = DurableStore.open(root, autocompact_ops=autocompact_ops,
                                   metrics=metrics)
         repo = cls(store, constraints=constraints,
-                   cache_capacity=cache_capacity,
-                   cache_memoize=cache_memoize, metrics=metrics)
+                   cache_capacity=cache_capacity, metrics=metrics)
         repo._cache_store = CacheStore(store.layout.cache_file)
         repo._cache_store.load(repo.cache, store.version)
         return repo
@@ -183,10 +177,8 @@ class Repository:
             query = parse_query(query)
         if use_views and self.views.views:
             refreshed = self.views.fresh_views()
-            definitions = {name: view.definition
-                           for name, view in refreshed.items()}
-            outcome = rewrite(query, definitions, self.constraints,
-                              total_only=True, first_only=True)
+            outcome = self.views.session.rewrite(query, total_only=True,
+                                                 first_only=True)
             if outcome.rewritings:
                 rewriting = outcome.rewritings[0]
                 sources = {name: refreshed[name].data

@@ -5,6 +5,13 @@ for relational query rewriting, and we believe they are as important for
 semistructured databases."  A materialized view is a named TSL view whose
 result is kept evaluated; the view manager tracks freshness against the
 store version and re-evaluates lazily.
+
+Rewriting reads only the definitions, so the manager keeps one
+:class:`~repro.rewriting.session.RewriteSession` over them: each
+definition is chased once, and a repeated query is served from the
+session's result memo.  :meth:`ViewManager.define` and
+:meth:`ViewManager.drop` keep it in step through
+:meth:`~repro.rewriting.session.RewriteSession.update_views`.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from dataclasses import dataclass, field
 
 from ..errors import RepositoryError
 from ..oem.model import OemDatabase
+from ..rewriting.chase import StructuralConstraints
+from ..rewriting.session import RewriteSession
 from ..tsl.ast import Query
 from ..tsl.evaluator import evaluate
 from ..tsl.parser import parse_query
@@ -43,6 +52,12 @@ class ViewManager:
 
     store: Store
     views: dict[str, MaterializedView] = field(default_factory=dict)
+    constraints: StructuralConstraints | None = None
+    #: The rewrite session over :meth:`definitions`.
+    session: RewriteSession = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.session = RewriteSession(self.definitions(), self.constraints)
 
     def define(self, name: str, definition: Query | str) -> MaterializedView:
         if isinstance(definition, str):
@@ -59,12 +74,14 @@ class ViewManager:
             evaluate(definition, self.store.db, answer_name=name),
             self.store.version)
         self.views[name] = view
+        self.session.update_views(self.definitions())
         return view
 
     def drop(self, name: str) -> None:
         if name not in self.views:
             raise RepositoryError(f"no view named {name!r}")
         del self.views[name]
+        self.session.update_views(self.definitions())
 
     def is_fresh(self, name: str) -> bool:
         return self.views[name].as_of_version == self.store.version

@@ -21,10 +21,26 @@ from ..errors import ChaseContradictionError
 from ..logic.subst import Substitution
 from ..obs import NULL_TRACER
 from ..tsl.ast import Query
-from ..tsl.decompose import ComponentQuery, decompose_program
+from ..tsl.decompose import ComponentQuery
 from ..tsl.normalize import normalize, path_to_condition, query_paths
-from .chase import StructuralConstraints, chase
+from .chase import StructuralConstraints
 from .mappings import body_mappings, component_mapping, coverage
+from .session import RewriteSession
+
+
+def _session_for(constraints: StructuralConstraints | None,
+                 session: RewriteSession | None) -> RewriteSession:
+    """*session*, or a one-shot (``memo_size=0``) one over *constraints*.
+
+    A session carries its own constraints, so passing both is an error
+    rather than a silent choice between them.
+    """
+    if session is None:
+        return RewriteSession((), constraints, memo_size=0)
+    if constraints is not None and constraints is not session.constraints:
+        raise ValueError("pass constraints or a session, not both: the "
+                         "session's own constraints apply")
+    return session
 
 
 def prepare_program(rules: Iterable[Query],
@@ -33,24 +49,20 @@ def prepare_program(rules: Iterable[Query],
                     budget=None, session=None) -> list[Query]:
     """Chase + normalize each rule; drop rules with contradictory bodies.
 
-    With a :class:`~repro.rewriting.session.RewriteSession` (created for
-    the same *constraints*) the per-rule chase and minimization hit the
-    session's memo tables.
+    The per-rule chase and minimization run through *session* (a
+    :class:`~repro.rewriting.session.RewriteSession`, whose constraints
+    apply), hitting its memo tables; without one, through a one-shot
+    session over *constraints*.
     """
+    session = _session_for(constraints, session)
     prepared: list[Query] = []
     for rule in rules:
         try:
-            if session is not None:
-                chased = session.chase(rule, budget=budget)
-            else:
-                chased = chase(rule, constraints, budget=budget)
+            chased = session.chase(rule, budget=budget)
         except ChaseContradictionError:
             continue  # empty on every legal database: contributes nothing
         if minimize_rules:
-            if session is not None:
-                chased = session.minimize(chased, budget=budget)
-            else:
-                chased = minimize(chased, budget=budget)
+            chased = session.minimize(chased, budget=budget)
         prepared.append(chased)
     return prepared
 
@@ -76,31 +88,26 @@ def programs_equivalent(left: Iterable[Query], right: Iterable[Query],
                         right_components=None) -> bool:
     """Theorem 4.3: decompose both unions and test mutual mappings.
 
-    *session* memoizes the sub-steps (chase, minimize, decomposition);
-    the verdict itself is memoized by
+    *session* memoizes the sub-steps (chase, minimize, decomposition)
+    under its own constraints (a one-shot session over *constraints*
+    when None); the verdict itself is memoized by
     :meth:`~repro.rewriting.session.RewriteSession.programs_equivalent`,
     which delegates here on a miss.  *right_components*, when given,
     must be the prepared + decomposed form of *right* under the same
-    *constraints* and *minimize_rules*; the rewriter precomputes the
+    constraints and *minimize_rules*; the rewriter precomputes the
     target query's components once and shares them across every
     candidate's Step 2 test.
     """
     tracer = tracer or NULL_TRACER
+    session = _session_for(constraints, session)
     with tracer.span("equivalence") as span:
-        left_rules = prepare_program(left, constraints, minimize_rules,
-                                     budget=budget, session=session)
-        if session is not None:
-            left_components = session.decompose(left_rules)
-        else:
-            left_components = decompose_program(left_rules)
+        left_components = session.decompose(prepare_program(
+            left, minimize_rules=minimize_rules, budget=budget,
+            session=session))
         if right_components is None:
-            right_rules = prepare_program(right, constraints,
-                                          minimize_rules, budget=budget,
-                                          session=session)
-            if session is not None:
-                right_components = session.decompose(right_rules)
-            else:
-                right_components = decompose_program(right_rules)
+            right_components = session.decompose(prepare_program(
+                right, minimize_rules=minimize_rules, budget=budget,
+                session=session))
         span.add("components",
                  len(left_components) + len(right_components))
         outcome = (components_subsumed(left_components, right_components,
@@ -128,18 +135,14 @@ def equivalence_obstacle(left: Iterable[Query], right: Iterable[Query],
     any right component (left is not contained in right), and
     symmetrically.  Returns None when the programs are equivalent.
     This is a diagnostic (EXPLAIN) path: it redoes the decomposition
-    and mapping searches rather than touching the hot path.
+    and mapping searches rather than touching the hot path.  *session*
+    and *constraints* are as for :func:`programs_equivalent`.
     """
-    left_rules = prepare_program(left, constraints, budget=budget,
-                                 session=session)
-    right_rules = prepare_program(right, constraints, budget=budget,
-                                  session=session)
-    if session is not None:
-        left_components = session.decompose(left_rules)
-        right_components = session.decompose(right_rules)
-    else:
-        left_components = decompose_program(left_rules)
-        right_components = decompose_program(right_rules)
+    session = _session_for(constraints, session)
+    left_components = session.decompose(prepare_program(
+        left, budget=budget, session=session))
+    right_components = session.decompose(prepare_program(
+        right, budget=budget, session=session))
     for side, components, others in (
             ("left", left_components, right_components),
             ("right", right_components, left_components)):

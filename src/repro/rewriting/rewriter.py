@@ -38,14 +38,13 @@ from ..tsl.ast import Condition, Query
 from ..tsl.normalize import path_to_condition, query_paths
 from ..tsl.validate import is_safe
 from .canon import program_key
-from .chase import StructuralConstraints, chase
+from .chase import StructuralConstraints
 from .composition import compose
-from .equivalence import (equivalence_obstacle, prepare_program,
-                          programs_equivalent)
+from .equivalence import equivalence_obstacle, prepare_program
 from .index import IndexStats, PathIndex
 from .mappings import Mapping as ContainmentMapping
 from .mappings import find_mappings, mapping_obstacle
-from .session import RewriteSession, _as_view_dict
+from .session import RewriteSession
 
 #: Span names that ``phase.seconds{phase=...}`` observes.
 _PHASES = frozenset(("rewrite", "chase", "compose", "equivalence"))
@@ -144,8 +143,8 @@ def view_instantiations(query: Query, views: Mapping[str, Query],
     Each mapping ``θ`` yields the condition ``θ(head(Vi))@Vi`` together
     with the set of Q-conditions it covers.  Views are prepared (chased)
     through *session*, a :class:`~repro.rewriting.session.RewriteSession`
-    for *views* and *constraints* (a pass-through one when None), so a
-    session prepares each view once.  An
+    for *views* and *constraints* (a one-shot ``memo_size=0`` one when
+    None), so a session prepares each view once.  An
     :class:`~repro.rewriting.explain.Explanation` receives one event per
     mapping found, or the refutation obstacle for views with none.
 
@@ -165,7 +164,7 @@ def view_instantiations(query: Query, views: Mapping[str, Query],
     """
     tracer = tracer or NULL_TRACER
     if session is None:
-        session = RewriteSession(views, constraints, enabled=False)
+        session = RewriteSession(views, constraints, memo_size=0)
     atoms: list[CandidateAtom] = []
     profile = None
     if signature_index is not None:
@@ -275,7 +274,8 @@ def rewrite(query: Query,
         memoized per (canonical query, flags) and served on repeat
         calls.  Prefer :meth:`RewriteSession.rewrite`, which supplies
         the matching views/constraints automatically.  Without one the
-        run uses a pass-through session of its own.
+        run uses a one-shot session of its own (``memo_size=0``: it
+        prepares each view once and memoizes nothing).
 
     Every view whose label signature cannot embed into the query is
     skipped before Step 1A (a sound pre-filter, see
@@ -287,7 +287,7 @@ def rewrite(query: Query,
     rewriting set.
     """
     if session is None:
-        session = RewriteSession(views, constraints, enabled=False)
+        session = RewriteSession(views, constraints, memo_size=0)
     tracer = tracer or NULL_TRACER
     if metrics is not None and not tracer.enabled:
         tracer = Tracer()
@@ -352,9 +352,8 @@ def _search(query: Query, flags: tuple, result: RewriteResult,
     """
     heuristic, total_only, prune_subsumed, first_only, max_candidates = \
         flags
-    constraints = session.constraints
     with tracer.span("prepare"):
-        prepared = prepare_program([query], constraints, budget=budget,
+        prepared = prepare_program([query], budget=budget,
                                    session=session)
     if not prepared:
         raise ChaseContradictionError(
@@ -370,7 +369,7 @@ def _search(query: Query, flags: tuple, result: RewriteResult,
     # byte-identical to the per-candidate ones they replace.
     target_key = program_key([target])
     target_components = session.decompose(prepare_program(
-        [target], constraints, budget=budget, session=session))
+        [target], budget=budget, session=session))
 
     atoms = session.candidate_atoms(target, tracer=tracer, budget=budget,
                                     stats=result.stats, explain=explain)
@@ -542,16 +541,14 @@ def _test_candidate(candidate: Query, target: Query,
     except CompositionError as exc:
         result.stats.candidates_failed_composition += 1
         return None, "failed-composition", str(exc), None
-    composed = prepare_program(composed, session.constraints,
-                               minimize_rules=True, budget=budget,
-                               session=session)
+    composed = prepare_program(composed, minimize_rules=True,
+                               budget=budget, session=session)
     result.stats.composition_rules += len(composed)
     if not session.programs_equivalent(
             composed, [target], tracer=tracer, budget=budget,
             right_key=target_key, right_components=target_components):
         reason, detail = _equivalence_failure_reason(
-            composed, target, session.constraints, session, budget,
-            explain_active)
+            composed, target, session, budget, explain_active)
         return None, "failed-equivalence", reason, detail
     views_used = frozenset(c.source for c in candidate.body
                            if c.source in views)
@@ -563,8 +560,8 @@ def _test_candidate(candidate: Query, target: Query,
             else None, None)
 
 
-def _equivalence_failure_reason(composed, target, constraints, session,
-                                budget, explain_active
+def _equivalence_failure_reason(composed, target, session, budget,
+                                explain_active
                                 ) -> tuple[str | None, dict | None]:
     """Name the graph component on which the Step 2 test failed."""
     if not explain_active:
@@ -572,8 +569,8 @@ def _equivalence_failure_reason(composed, target, constraints, session,
     if not composed:
         return ("the composition is empty: the candidate is "
                 "unsatisfiable against the view definitions", None)
-    obstacle = equivalence_obstacle(composed, [target], constraints,
-                                    budget=budget, session=session)
+    obstacle = equivalence_obstacle(composed, [target], budget=budget,
+                                    session=session)
     if obstacle is None:  # diagnostic re-run disagreed; report plainly
         return "composition is not equivalent to the query", None
     kind = obstacle["component_kind"]
@@ -619,15 +616,12 @@ def find_all_rewritings(query: Query,
 def is_rewriting(candidate: Query, query: Query,
                  views: Union[Mapping[str, Query], Sequence[Query]],
                  constraints: StructuralConstraints | None = None) -> bool:
-    """Check one hand-written candidate (Step 2 only)."""
-    views = _as_view_dict(views)
-    prepared = prepare_program([query], constraints)
+    """Check one hand-written candidate: the search's own Steps 1C + 2,
+    on a one-shot session."""
+    session = RewriteSession(views, constraints, memo_size=0)
+    prepared = prepare_program([query], session=session)
     if not prepared:
         return False
-    try:
-        candidate = chase(candidate, constraints)
-        composed = compose(candidate, views)
-    except (ChaseContradictionError, CompositionError):
-        return False
-    composed = prepare_program(composed, constraints, minimize_rules=True)
-    return programs_equivalent(composed, prepared, constraints)
+    accepted = _test_candidate(candidate, prepared[0], RewriteResult(),
+                               session)[0]
+    return accepted is not None

@@ -26,7 +26,13 @@ counters -- aggregate and per-table -- through a
 A session is bound to one ``(views, constraints)`` pair;
 :meth:`RewriteSession.update_views` swaps the view set while keeping
 the view-independent tables (chase, minimize, equivalence, decompose)
-warm -- the pattern the cached-query manager uses when entries churn.
+warm -- the pattern the cached-query manager and the repository's
+materialized views use when their definitions change.
+
+There is one code path.  A one-shot run (a :func:`~repro.rewriting
+.rewriter.rewrite` call without a session) runs on a session of
+``memo_size=0``, whose tables never store and never hit; it still
+prepares each view once for the run and still counts misses.
 
 **Thread safety and locking order.**  A session may be shared by many
 threads (the ``repro serve`` worker pool hammers one session per view
@@ -83,7 +89,8 @@ class MemoTable:
     interleave mid-update.  Values must be immutable (or never mutated
     after ``put``) -- the table hands the stored object straight back.
     The lock is innermost except for the metric instruments it feeds
-    (see the module docstring for the full locking order).
+    (see the module docstring for the full locking order).  A table of
+    capacity 0 never stores an entry, so every lookup misses.
     """
 
     __slots__ = ("name", "capacity", "entries", "hits", "misses",
@@ -92,7 +99,7 @@ class MemoTable:
     def __init__(self, name: str, capacity: int = DEFAULT_MEMO_SIZE,
                  metrics=None) -> None:
         self.name = name
-        self.capacity = max(1, capacity)
+        self.capacity = max(0, capacity)
         self.entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -140,6 +147,8 @@ class MemoTable:
         self._count("misses")
 
     def put(self, key, value) -> None:
+        if not self.capacity:
+            return
         evicted = 0
         with self._lock:
             self.entries[key] = value
@@ -184,27 +193,22 @@ class RewriteSession:
         Optional structural constraints; all memoized work is keyed
         under this one constraints object.
     memo_size:
-        Per-table LRU capacity.
+        Per-table LRU capacity.  ``0`` memoizes nothing: the session of
+        a one-shot run.  Prepared views and the signature index are
+        kept at any size: they depend only on the (views, constraints)
+        pair.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry` receiving
         ``cache.*`` counters.
-    enabled:
-        ``False`` turns every memo table into a pass-through.
-        :func:`~repro.rewriting.rewriter.rewrite` runs on such a session
-        when its caller supplies none, so there is one code path.
-        Prepared views and the signature index are kept either way:
-        they depend only on the (views, constraints) pair.
     """
 
     def __init__(self, views: Union[Mapping[str, Query], Sequence[Query]],
                  constraints: StructuralConstraints | None = None, *,
                  memo_size: int = DEFAULT_MEMO_SIZE,
-                 metrics=None, enabled: bool = True) -> None:
+                 metrics=None) -> None:
         self.views = _as_view_dict(views)
         self.constraints = constraints
-        self.memo_size = memo_size
         self.metrics = metrics
-        self.enabled = enabled
         #: view name -> (chased body, label signature of that body)
         self._prepared_views: dict[str, tuple] = {}
         self._signature_index = None
@@ -297,9 +301,6 @@ class RewriteSession:
         query, not of the run).  A hit whose stored query differs only
         by renaming is rebased into the probe's variable space.
         """
-        if not self.enabled:
-            return chase(query, self.constraints, tracer=tracer,
-                         budget=budget)
         probe = canonicalize(query)
         value = self._chase.get(probe.key)
         if value is not _MISS:
@@ -321,8 +322,6 @@ class RewriteSession:
     def minimize(self, query: Query, *, budget=None) -> Query:
         """Memoized :func:`~repro.rewriting.equivalence.minimize`."""
         from .equivalence import minimize
-        if not self.enabled:
-            return minimize(query, budget=budget)
         probe = canonicalize(query)
         value = self._minimize.get(probe.key)
         if value is not _MISS:
@@ -341,8 +340,6 @@ class RewriteSession:
         variables, so only structurally identical programs share).
         """
         from ..tsl.decompose import decompose_program
-        if not self.enabled:
-            return decompose_program(rules)
         key = tuple(rules)
         value = self._decompose.get(key)
         if value is not _MISS:
@@ -369,11 +366,6 @@ class RewriteSession:
         from .equivalence import programs_equivalent
         left = list(left)
         right = list(right)
-        if not self.enabled:
-            return programs_equivalent(left, right, self.constraints,
-                                       minimize_rules, tracer=tracer,
-                                       budget=budget,
-                                       right_components=right_components)
         left_key = program_key(left)
         if right_key is None:
             right_key = program_key(right)
@@ -386,9 +378,10 @@ class RewriteSession:
                 (right_key, left_key, minimize_rules))
         if value is not _MISS:
             return value
-        verdict = programs_equivalent(left, right, self.constraints,
-                                      minimize_rules, tracer=tracer,
-                                      budget=budget, session=self,
+        verdict = programs_equivalent(left, right,
+                                      minimize_rules=minimize_rules,
+                                      tracer=tracer, budget=budget,
+                                      session=self,
                                       right_components=right_components)
         self._equivalence.put(key, verdict)
         return verdict
@@ -408,7 +401,7 @@ class RewriteSession:
         """
         from .rewriter import RewriteStats, view_instantiations
         index = self.signature_index(tracer=tracer, budget=budget)
-        if not self.enabled or explain is not None:
+        if explain is not None:
             return view_instantiations(target, self.views,
                                        self.constraints, tracer=tracer,
                                        budget=budget, session=self,
@@ -465,8 +458,6 @@ class RewriteSession:
         or miss and timed into ``phase.seconds{phase=memo_lookup}`` when
         the session has a metrics registry.
         """
-        if not self.enabled:
-            return None
         started = time.perf_counter() if self.metrics is not None else 0.0
         try:
             found = self.peek_result(query, flags,
@@ -487,8 +478,6 @@ class RewriteSession:
         """What :meth:`lookup_result` would return, without counting or
         timing a lookup -- for a caller that decides how to call
         :meth:`rewrite`, whose own lookup is the one that counts."""
-        if not self.enabled:
-            return None
         value = self._results.peek((canonicalize(query).key, flags))
         if value is _MISS:
             return None
@@ -500,7 +489,7 @@ class RewriteSession:
     def store_result(self, query: Query, flags: tuple, result,
                      explain=None) -> None:
         """Memoize a complete result (and its decision log, if any)."""
-        if not self.enabled or result.stats.truncated:
+        if result.stats.truncated:
             return
         probe = canonicalize(query)
         explanation = explain.snapshot() if explain is not None else None

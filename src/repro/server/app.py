@@ -161,7 +161,6 @@ class ServerConfig:
     workers: int = DEFAULT_WORKERS
     max_pending: int = 64         # admitted in-flight cap; beyond -> 429
     max_sessions: int = DEFAULT_MAX_SESSIONS
-    memo_size: int | None = None  # None -> session default
     default_budget_ms: float | None = None
     default_max_steps: int | None = None
     max_body_bytes: int = 16 * 1024 * 1024
@@ -187,8 +186,6 @@ class ReproServer:
         pool_kwargs = {"workers": self.config.workers,
                        "max_sessions": self.config.max_sessions,
                        "metrics": self.registry}
-        if self.config.memo_size is not None:
-            pool_kwargs["memo_size"] = self.config.memo_size
         self.layout = None
         if self.config.cache_dir is not None:
             from ..storage import SessionRegistry, StorageLayout

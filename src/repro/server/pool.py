@@ -33,7 +33,6 @@ from typing import Mapping
 from ..rewriting import RewriteSession
 from ..rewriting.canon import query_key
 from ..rewriting.chase import StructuralConstraints
-from ..rewriting.session import DEFAULT_MEMO_SIZE
 from ..tsl.ast import Query
 
 #: Default number of worker threads (the compiler-pool size).
@@ -75,12 +74,10 @@ class SessionPool:
 
     def __init__(self, *, workers: int = DEFAULT_WORKERS,
                  max_sessions: int = DEFAULT_MAX_SESSIONS,
-                 memo_size: int = DEFAULT_MEMO_SIZE,
                  metrics=None, registry=None,
                  store_version: int | None = None) -> None:
         self.workers = max(1, workers)
         self.max_sessions = max(1, max_sessions)
-        self.memo_size = memo_size
         self.metrics = metrics
         self.registry = registry
         self.store_version = store_version
@@ -116,7 +113,6 @@ class SessionPool:
                     self.metrics.increment("server.sessions.reused")
                 return session
             session = RewriteSession(views, constraints,
-                                     memo_size=self.memo_size,
                                      metrics=self.metrics)
             if self.registry is not None:
                 loaded = self.registry.load_into(key, session,

@@ -192,6 +192,24 @@ def test_memo_oracle_compares_seeded_corpus(monkeypatch):
     assert report.checks["memo"] >= 24     # >= 2 rewrite checks per case
 
 
+def test_memo_reference_that_memoizes_is_caught(monkeypatch):
+    # Mutation: clamp every memo table to capacity >= 1, so the
+    # zero-capacity reference run serves hits and the memo oracle's
+    # comparison would be memoized against memoized.
+    from repro.rewriting import session as session_mod
+    real_init = session_mod.MemoTable.__init__
+
+    def clamped(self, name, capacity=session_mod.DEFAULT_MEMO_SIZE,
+                metrics=None):
+        real_init(self, name, max(1, capacity), metrics)
+
+    monkeypatch.setattr(session_mod.MemoTable, "__init__", clamped)
+    report = run_fuzz(FuzzConfig(seed=31, iterations=4,
+                                 oracles=("memo",), shrink=False))
+    assert not report.ok
+    assert {f.invariant for f in report.failures} == {"reference-memoized"}
+
+
 def test_overeager_prefilter_is_caught(monkeypatch):
     # A signature pre-filter that prunes every view silently discards
     # real rewritings; the brute-force soundness check of the signature

@@ -1,5 +1,7 @@
 """Tests for the repository facade, materialized views, and store."""
 
+import importlib
+
 import pytest
 
 from repro.errors import RepositoryError
@@ -111,6 +113,58 @@ class TestAnswering:
         report = repo.query_with_report(
             "<f(P) hit 1> :- <P pub {<B booktitle sigmod>}>@db")
         assert report.method in ("direct", "cache", "views")
+
+
+class TestViewSession:
+    """The view path rewrites on one session over the definitions."""
+
+    def test_each_view_is_chased_once_across_queries(self, repo,
+                                                     biblio_db,
+                                                     monkeypatch):
+        session_mod = importlib.import_module("repro.rewriting.session")
+        view = conference_view("sigmod", "sigmod")
+        repo.define_view("sigmod", view)
+        chased = []
+        real_chase = session_mod.chase
+
+        def counting_chase(query, *args, **kwargs):
+            if query is view:
+                chased.append(query)
+            return real_chase(query, *args, **kwargs)
+
+        monkeypatch.setattr(session_mod, "chase", counting_chase)
+        years = (1995, 1996, 1997, 1998)
+        for year in years:
+            query = conference_query("sigmod", year)
+            report = repo.query_with_report(query, use_cache=False)
+            assert report.method == "views"
+            assert identical(report.answer, evaluate(query, biblio_db))
+        assert len(chased) == 1
+
+    def test_defined_view_is_used_on_the_next_query(self, repo,
+                                                    biblio_db):
+        repo.define_view("sigmod", conference_view("sigmod", "sigmod"))
+        query = conference_query("vldb", 1997)
+        before = repo.query_with_report(query, use_cache=False)
+        assert before.method == "direct"
+        repo.define_view("vldb", conference_view("vldb", "vldb"))
+        after = repo.query_with_report(query, use_cache=False)
+        assert after.method == "views"
+        assert after.rewriting.sources() == {"vldb"}
+        assert identical(after.answer, evaluate(query, biblio_db))
+
+    def test_dropped_view_is_never_used(self, repo, biblio_db):
+        repo.define_view("sigmod", conference_view("sigmod", "sigmod"))
+        repo.define_view("vldb", conference_view("vldb", "vldb"))
+        query = conference_query("vldb", 1997)
+        assert repo.query_with_report(query,
+                                      use_cache=False).method == "views"
+        repo.views.drop("vldb")
+        for _ in range(2):
+            report = repo.query_with_report(query, use_cache=False)
+            assert report.method == "direct"
+            assert identical(report.answer, evaluate(query, biblio_db))
+        assert "vldb" not in repo.views.session.views
 
 
 class TestCache:

@@ -16,7 +16,7 @@ import pytest
 from repro.analysis.viewset.signature import view_signature
 from repro.logic.subst import Substitution
 from repro.obs import MetricsRegistry
-from repro.rewriting import (PathIndex, RewriteSession,
+from repro.rewriting import (DEFAULT_MEMO_SIZE, PathIndex, RewriteSession,
                              most_constrained_order, paper_dtd,
                              programs_equivalent, rewrite,
                              statically_compatible)
@@ -358,10 +358,10 @@ class TestChaseLegacyParity:
 
 class TestViewPlans:
     def test_plan_is_cached_and_complete(self):
-        # Kept even by a pass-through session, with their signatures:
+        # Kept even by a zero-capacity session, with their signatures:
         # they depend only on the (views, constraints) pair.
-        for enabled in (True, False):
-            session = RewriteSession({"V1": view_v1()}, enabled=enabled)
+        for memo_size in (DEFAULT_MEMO_SIZE, 0):
+            session = RewriteSession({"V1": view_v1()}, memo_size=memo_size)
             v1 = session.prepared_view("V1")
             assert session.prepared_view("V1") is v1
             assert query_key(v1) == query_key(chase(view_v1(), None))

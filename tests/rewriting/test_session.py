@@ -56,6 +56,17 @@ class TestMemoTable:
         assert counters["cache.evictions"] == 1
         assert counters["cache.probe.hits"] == 1
 
+    def test_zero_capacity_never_stores_or_hits(self):
+        # Capacity 0 is the one-shot run's table: lookups still count
+        # as misses, but nothing is stored, evicted or served.
+        table = MemoTable("t", capacity=0)
+        for _ in range(2):
+            table.put("a", 1)
+            assert table.get("a") is _MISS
+        assert len(table) == 0
+        assert table.stats() == {"size": 0, "capacity": 0, "hits": 0,
+                                 "misses": 2, "evictions": 0}
+
     def test_stats_shape(self):
         table = MemoTable("t", capacity=4)
         table.put("a", 1)
@@ -96,13 +107,27 @@ class TestSessionChase:
         assert session.stats()["chase"]["hits"] == 1
 
     def test_disabled_session_never_memoizes(self, views):
-        session = RewriteSession(views, enabled=False)
+        # A zero-capacity session: the one a sessionless rewrite() uses.
+        session = RewriteSession(views, memo_size=0)
         q = sigmod_97_query()
         assert session.chase(q) == chase(q)
         session.chase(q)
         stats = session.stats()["chase"]
         assert stats["size"] == 0
         assert stats["hits"] == 0
+        assert stats["misses"] == 2
+
+    def test_zero_capacity_session_counts_misses_only(self, views):
+        session = RewriteSession(views, memo_size=0)
+        q = k_conditions_query(2)
+        for _ in range(2):
+            assert fingerprint(session.rewrite(q)) == \
+                fingerprint(rewrite(q, views))
+        stats = session.stats()
+        assert all(table["size"] == 0 and table["hits"] == 0
+                   for table in stats.values())
+        assert stats["rewrite"]["misses"] == 2
+        assert stats["chase"]["misses"] > 0
 
 
 class TestSessionEquivalence:
@@ -165,7 +190,8 @@ class TestSessionRewrite:
 
     def test_disabled_session_chases_each_view_once(self, monkeypatch):
         # The signature index and Step 1A share each prepared view, so
-        # one rewrite chases every view once, pruned or not.
+        # one sessionless rewrite (on its zero-capacity session) chases
+        # every view once, pruned or not.
         session_mod = importlib.import_module("repro.rewriting.session")
         views = {"V1": view_v1(), "VC": conference_view("sigmod", "VC")}
         chased = []
@@ -177,7 +203,7 @@ class TestSessionRewrite:
             return real_chase(query, *args, **kwargs)
 
         monkeypatch.setattr(session_mod, "chase", counting_chase)
-        result = RewriteSession(views, enabled=False).rewrite(query_q3())
+        result = rewrite(query_q3(), views)
         assert result.rewritings
         assert result.stats.views_pruned_signature == 1
         assert sorted(chased) == ["V1", "VC"]

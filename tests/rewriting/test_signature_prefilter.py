@@ -101,7 +101,7 @@ class TestSessionPlumbing:
     def test_disabled_session_still_prunes(self):
         query = k_conditions_query(2)
         session = RewriteSession(mixed_views(live=2, dead=5),
-                                 enabled=False)
+                                 memo_size=0)
         result = session.rewrite(query)
         assert result.stats.views_pruned_signature == 5
         assert fingerprint(result) == fingerprint(
