@@ -783,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "many seconds")
     fuzz_cmd.add_argument("--oracle", action="append", default=[],
                           choices=("semantic", "containment", "memo",
-                                   "metamorphic", "signature"),
+                                   "metamorphic", "signature", "step2"),
                           help="oracle(s) to run (repeatable; default: all)")
     fuzz_cmd.add_argument("--profile", action="append", default=[],
                           metavar="NAME",

@@ -1,4 +1,4 @@
-"""The three executable oracles (semantic, containment, metamorphic).
+"""The executable oracles, one per invariant family (see below).
 
 Each oracle takes a generated :class:`~repro.oracle.gen.Case` and returns
 the invariant violations it found.  The oracles are *executable
@@ -70,6 +70,14 @@ persist
     document byte for byte; and an update touching labels a cached
     statement can match invalidates its entry while a provably
     disjoint update patches it in place with the answer intact.
+
+step2
+    Soundness of Step 2's witness (:mod:`repro.rewriting.witness`): on
+    every candidate the search can generate, with the covering heuristic
+    on and off, a witness that proves query ⊆ composition must agree
+    with the full component search -- also after dropping a query path
+    or redirecting a Step 1A binding, where the half can be false.
+    Witness hits and fallbacks are counted.
 """
 
 from __future__ import annotations
@@ -77,7 +85,9 @@ from __future__ import annotations
 import json
 import tempfile
 import traceback
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -94,14 +104,19 @@ from ..rewriting import canon
 from ..rewriting.canon import query_key
 from ..rewriting.chase import chase
 from ..rewriting.composition import compose
-from ..rewriting.equivalence import equivalent, minimize, prepare_program
+from ..rewriting.equivalence import (components_subsumed, equivalent,
+                                     minimize, prepare_program)
 from ..rewriting.explain import Explanation
 from ..rewriting.mappings import body_mappings, find_mappings
-from ..rewriting.rewriter import rewrite
+from ..rewriting.rewriter import (CandidateAtom, RewriteStats,
+                                  _merge_duplicate_atoms,
+                                  prepared_composition, rewrite)
 from ..rewriting.session import RewriteSession
+from ..rewriting.witness import Step2Target, Step2Witness
 from ..storage import CacheStore, DurableStore, SessionRegistry, StorageLayout
 from ..storage.maintenance import statement_labels
 from ..tsl.ast import Query, SetPatternTerm
+from ..tsl.decompose import decompose_program
 from ..tsl.evaluator import evaluate, evaluate_program
 from ..tsl.normalize import normalize, path_to_condition, query_paths
 from ..tsl.parser import parse_query
@@ -130,6 +145,8 @@ class OracleResult:
 
     checks: int = 0
     failures: list[Failure] = None  # type: ignore[assignment]
+    #: Named tallies an oracle reports beside its checks.
+    counters: Counter = field(default_factory=Counter)
 
     def __post_init__(self) -> None:
         if self.failures is None:
@@ -955,6 +972,128 @@ class PersistOracle:
                 f"{sorted(expect - actual)}"))
 
 
+class Step2Oracle:
+    """Step 2's witness must never prove what the search refutes.
+
+    For every candidate the search can generate -- with the covering
+    heuristic on and off, up to ``max_candidates`` each -- the
+    :class:`~repro.rewriting.witness.Step2Witness` verdict for the
+    query ⊆ composition half is compared with the full
+    ``components_subsumed(query, composition)`` search.  A witness hit
+    the search refutes is a failure; a fallback is allowed and counted
+    (``hits`` / ``fallbacks`` counters).  Search candidates pass the
+    half by construction, so the comparison is repeated on two
+    perturbations that can make it false: the query with one body path
+    dropped, and one Step 1A binding redirected to another term.
+    """
+
+    name = "step2"
+
+    def __init__(self, max_candidates: int = 128) -> None:
+        self.max_candidates = max_candidates
+
+    def check(self, case: Case) -> OracleResult:
+        result = OracleResult()
+        session = RewriteSession(case.views, case.constraints,
+                                 memo_size=0)
+        prepared = prepare_program([case.query], session=session)
+        if not prepared:
+            return result  # contradictory body: no Step 2 to check
+        target = prepared[0]
+        step2 = Step2Target(prepare_program([target],
+                                            session=session)[0])
+        paths = step2.paths
+        atoms = session.candidate_atoms(target) + [
+            CandidateAtom(path_to_condition(path), frozenset([i]), None)
+            for i, path in enumerate(paths)]
+        atoms = _merge_duplicate_atoms(atoms, RewriteStats())
+        every = frozenset(range(len(paths)))
+        for heuristic in (True, False):
+            tested = 0
+            for size in range(1, len(paths) + 1):
+                for chosen in combinations(atoms, size):
+                    if tested >= self.max_candidates:
+                        break
+                    if not any(atom.is_view for atom in chosen) or (
+                            heuristic and frozenset().union(
+                                *(a.covers for a in chosen)) != every):
+                        continue
+                    candidate = Query(target.head,
+                                      tuple(a.condition for a in chosen),
+                                      name=case.query.name)
+                    if not is_safe(candidate):
+                        continue
+                    tested += 1
+                    self._compare(session, step2, candidate, chosen,
+                                  tested, result)
+        return result
+
+    def _compare(self, session: RewriteSession, step2: Step2Target,
+                 candidate: Query, chosen, index: int,
+                 result: OracleResult) -> None:
+        try:
+            candidate = session.chase(candidate)
+            rules, witness = prepared_composition(candidate, session,
+                                                  step2, chosen)
+        except (ChaseContradictionError, CompositionError):
+            return
+        composition = decompose_program(rules)
+        full = components_subsumed(decompose_program([step2.rule]),
+                                   composition)
+        hit = witness.holds()
+        result.counters["hits" if hit else "fallbacks"] += 1
+        self._agree(result, "candidate", hit, full, candidate)
+        # Perturbation 1: drop one query path (chosen by position).
+        paths = step2.paths
+        if len(paths) > 1:
+            dropped = index % len(paths)
+            weaker = Query(step2.rule.head, tuple(
+                path_to_condition(p) for i, p in enumerate(paths)
+                if i != dropped), name=step2.rule.name)
+            weaker_target = Step2Target(weaker)
+            self._agree(
+                result, "dropped-path",
+                Step2Witness(weaker_target, rules, witness.origins,
+                             candidate, chosen).holds(),
+                components_subsumed(decompose_program([weaker]),
+                                    composition), candidate)
+        # Perturbation 2: redirect one binding of a view atom's θ.
+        redirected = _redirect_theta(chosen, step2)
+        if redirected is not None:
+            self._agree(
+                result, "redirected-theta",
+                Step2Witness(step2, rules, witness.origins, candidate,
+                             redirected).holds(), full, candidate)
+
+    def _agree(self, result: OracleResult, what: str, hit: bool,
+               full: bool, candidate: Query) -> None:
+        result.checks += 1
+        if hit and not full:
+            result.failures.append(Failure(
+                self.name, f"witness-unsound-{what}",
+                f"the Step 2 witness proves query ⊆ composition for "
+                f"candidate {candidate} ({what}), but the full "
+                f"component search refutes it"))
+
+
+def _redirect_theta(chosen, step2: Step2Target):
+    """*chosen* with the first view atom's first θ binding (by variable
+    name) sent to another query variable, or None when there is none."""
+    others = sorted(step2.variables, key=lambda v: v.name)
+    for position, atom in enumerate(chosen):
+        if not atom.theta:
+            continue
+        variable = min(atom.theta, key=lambda v: v.name)
+        image = atom.theta[variable]
+        moved = next((v for v in others if v != image), None)
+        if moved is None:
+            return None
+        theta = Substitution({**atom.theta.as_dict(), variable: moved})
+        return (chosen[:position] + (replace(atom, theta=theta),)
+                + chosen[position + 1:])
+    return None
+
+
 ORACLES: dict[str, Callable[[], Oracle]] = {
     "semantic": SemanticOracle,
     "containment": ContainmentOracle,
@@ -963,6 +1102,7 @@ ORACLES: dict[str, Callable[[], Oracle]] = {
     "metamorphic": MetamorphicOracle,
     "persist": PersistOracle,
     "signature": SignatureOracle,
+    "step2": Step2Oracle,
 }
 
 

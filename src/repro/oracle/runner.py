@@ -71,6 +71,15 @@ class FuzzReport:
     elapsed_seconds: float = 0.0
     checks: dict[str, int] = field(default_factory=dict)
     failures: list[FailureRecord] = field(default_factory=list)
+    #: ``<oracle>.<name>`` -> total of each oracle-reported tally.
+    counters: dict[str, int] = field(default_factory=dict)
+
+    def count(self, oracle: str, result) -> None:
+        """Add one oracle result's checks and tallies."""
+        self.checks[oracle] += result.checks
+        for name, value in result.counters.items():
+            key = f"{oracle}.{name}"
+            self.counters[key] = self.counters.get(key, 0) + value
 
     @property
     def ok(self) -> bool:
@@ -82,6 +91,7 @@ class FuzzReport:
             "iterations": self.iterations_run,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "checks": dict(sorted(self.checks.items())),
+            "counters": dict(sorted(self.counters.items())),
             "failures": [f.to_json() for f in self.failures],
         }
 
@@ -167,7 +177,7 @@ def run_fuzz(config: FuzzConfig = FuzzConfig(), *,
                 with tracer.span(f"oracle.{oracle.name}") as oracle_span:
                     result = run_oracle(oracle, case)
                     oracle_span.add("checks", result.checks)
-                report.checks[oracle.name] += result.checks
+                report.count(oracle.name, result)
                 if metrics is not None:
                     metrics.increment(f"fuzz.checks.{oracle.name}",
                                       result.checks)
@@ -196,7 +206,7 @@ def replay(path: str,
     started = time.monotonic()
     for oracle in oracles:
         result = run_oracle(oracle, case)
-        report.checks[oracle.name] += result.checks
+        report.count(oracle.name, result)
         for failure in result.failures:
             report.failures.append(FailureRecord(
                 oracle=failure.oracle,

@@ -59,6 +59,20 @@ class _ViewParts:
     body: tuple[Condition, ...]
 
 
+@dataclass(frozen=True, slots=True)
+class Provenance:
+    """How one composition rule was resolved (the Step 2 witness's input).
+
+    ``unifier`` is the resolution's final substitution; the rule is its
+    image.  ``copies`` maps each fresh view copy ``k`` (whose variables
+    carry the suffix ``~k``) to the candidate path it resolved; one dict
+    is shared by every rule of a :func:`compose` call.
+    """
+
+    unifier: Substitution
+    copies: Mapping[int, Path]
+
+
 def _view_parts(view: Query) -> _ViewParts:
     member_edges = []
     object_rules = []
@@ -106,12 +120,15 @@ class _Resolver:
         self._views = {name: normalize(view) for name, view in views.items()}
         self._copies = start
         self._budget = budget
+        #: copy number -> the path that copy resolved
+        self.copy_paths: dict[int, Path] = {}
 
-    def _fresh_parts(self, source: str) -> _ViewParts:
+    def _fresh_parts(self, path: Path) -> _ViewParts:
         if self._budget is not None:
             self._budget.tick()
         self._copies += 1
-        view = self._views[source].rename_apart(f"~{self._copies}")
+        self.copy_paths[self._copies] = path
+        view = self._views[path.source].rename_apart(f"~{self._copies}")
         return _view_parts(view)
 
     def resolve_paths(self, paths: list[Path], subst: Substitution,
@@ -137,10 +154,10 @@ class _Resolver:
         last = depth == len(path.steps) - 1
         leaf = path.leaf if last else None
         for after_object, object_body in self._object_goal(
-                path.source, oid, label, leaf, last, subst):
+                path, oid, label, leaf, last, subst):
             body_1 = body + object_body
             if is_top:
-                pair = self._top_goal(path.source, oid, after_object)
+                pair = self._top_goal(path, oid, after_object)
                 if pair is None:
                     continue
                 after_top, top_body = pair
@@ -152,19 +169,19 @@ class _Resolver:
                 continue
             yield from self._member_goal(path, depth, after_top, body_2)
 
-    def _top_goal(self, source: str, oid: Term, subst: Substitution
+    def _top_goal(self, path: Path, oid: Term, subst: Substitution
                   ) -> tuple[Substitution, tuple[Condition, ...]] | None:
-        parts = self._fresh_parts(source)
+        parts = self._fresh_parts(path)
         unified = unify(oid, parts.top_oid, subst)
         if unified is None:
             return None
         return unified, parts.body
 
-    def _object_goal(self, source: str, oid: Term, label: Term,
+    def _object_goal(self, path: Path, oid: Term, label: Term,
                      leaf: object, last: bool, subst: Substitution
                      ) -> Iterator[tuple[Substitution,
                                          tuple[Condition, ...]]]:
-        parts = self._fresh_parts(source)
+        parts = self._fresh_parts(path)
         for rule_oid, rule_label, rule_value in parts.object_rules:
             unified = unify(oid, rule_oid, subst)
             if unified is None:
@@ -205,7 +222,7 @@ class _Resolver:
         parent_oid = path.steps[depth][0]
         child_oid = path.steps[depth + 1][0]
         # Option A: a member rule of the view head.
-        parts = self._fresh_parts(path.source)
+        parts = self._fresh_parts(path)
         for rule_parent, rule_child in parts.member_edges:
             unified = unify(parent_oid, rule_parent, subst)
             if unified is None:
@@ -217,7 +234,7 @@ class _Resolver:
                                           body + parts.body, is_top=False)
         # Option B: a hanging source subgraph -- the head pattern's value
         # variable absorbs the rest of the condition chain.
-        parts_b = self._fresh_parts(path.source)
+        parts_b = self._fresh_parts(path)
         for rule_oid, value_var in parts_b.hanging:
             unified = unify(parent_oid, rule_oid, subst)
             if unified is None:
@@ -232,7 +249,8 @@ class _Resolver:
 
 def compose(candidate: Query, views: Views,
             max_depth: int = 8, *,
-            tracer=None, budget=None) -> list[Query]:
+            tracer=None, budget=None,
+            provenance: list | None = None) -> list[Query]:
     """Compute the composition of *candidate* with *views*.
 
     Conditions over sources not in *views* pass through unchanged.
@@ -240,6 +258,10 @@ def compose(candidate: Query, views: Views,
     *max_depth* levels) until only base sources remain.  Returns a union
     of rules over the base sources; an empty list means the candidate is
     unsatisfiable against the view definitions.
+
+    *provenance*, when given, receives one entry per returned rule: its
+    :class:`Provenance` when one level of unfolding produced it, else
+    None (a view over a view resolves paths no candidate path names).
 
     *tracer* records a ``compose`` span counting produced rules and view
     copies; *budget* is ticked once per fresh view copy and may raise
@@ -260,19 +282,22 @@ def compose(candidate: Query, views: Views,
         # check, silently dropping every deeper resolution.
         counter_start = _copy_counter_start(pending[0], views)
         resolver = _Resolver(views, start=counter_start, budget=budget)
-        for _ in range(max_depth):
+        for level in range(max_depth):
             if not pending:
-                span.add("rules", len(rules))
-                span.add("view_copies", resolver._copies - counter_start)
-                return rules
+                break
             next_pending: list[Query] = []
             for rule in pending:
-                for unfolded in _compose_once(rule, views, resolver):
+                for unfolded, unifier in _compose_once(rule, views,
+                                                       resolver):
                     if unfolded.sources() & set(views):
                         next_pending.append(unfolded)
                     elif unfolded not in emitted:
                         emitted.add(unfolded)
                         rules.append(unfolded)
+                        if provenance is not None:
+                            provenance.append(
+                                Provenance(unifier, resolver.copy_paths)
+                                if level == 0 else None)
             pending = next_pending
         if pending:
             raise CompositionError(
@@ -284,18 +309,23 @@ def compose(candidate: Query, views: Views,
 
 
 def _compose_once(candidate: Query, views: Views,
-                  resolver: _Resolver | None = None) -> list[Query]:
-    """One level of unfolding of every view condition of *candidate*."""
+                  resolver: _Resolver | None = None
+                  ) -> list[tuple[Query, Substitution]]:
+    """One level of unfolding of every view condition of *candidate*.
+
+    Returns each distinct unfolded rule with the unifier that produced
+    it (the empty substitution for a candidate with no view condition).
+    """
     candidate = normalize(candidate)
     base_conditions = tuple(c for c in candidate.body
                             if c.source not in views)
     view_paths = [p for p in query_paths(candidate) if p.source in views]
     if not view_paths:
-        return [candidate]
+        return [(candidate, Substitution())]
     if resolver is None:
         resolver = _Resolver(views,
                              start=_copy_counter_start(candidate, views))
-    rules: list[Query] = []
+    rules: list[tuple[Query, Substitution]] = []
     seen: set[Query] = set()
     for subst, body in resolver.resolve_paths(view_paths, Substitution(),
                                               ()):
@@ -307,5 +337,5 @@ def _compose_once(candidate: Query, views: Views,
                                full_body, name=candidate.name))
         if rule not in seen:
             seen.add(rule)
-            rules.append(rule)
+            rules.append((rule, subst))
     return rules

@@ -32,6 +32,7 @@ from typing import Mapping, Sequence, Union
 
 from ..errors import (BudgetExceededError, ChaseContradictionError,
                       CompositionError)
+from ..logic.subst import Substitution
 from ..obs import NULL_TRACER, Tracer
 from ..obs.metrics import PHASE_SECONDS
 from ..tsl.ast import Condition, Query
@@ -45,6 +46,7 @@ from .index import IndexStats, PathIndex
 from .mappings import Mapping as ContainmentMapping
 from .mappings import find_mappings, mapping_obstacle
 from .session import RewriteSession
+from .witness import Step2Target, Step2Witness
 
 #: Span names that ``phase.seconds{phase=...}`` observes.
 _PHASES = frozenset(("rewrite", "chase", "compose", "equivalence"))
@@ -52,11 +54,16 @@ _PHASES = frozenset(("rewrite", "chase", "compose", "equivalence"))
 
 @dataclass(frozen=True, slots=True)
 class CandidateAtom:
-    """One buildable condition: a view instantiation or an original one."""
+    """One buildable condition: a view instantiation or an original one.
+
+    A view instantiation ``θ(head(Vi))`` keeps its Step 1A mapping
+    ``θ`` as *theta*; Step 2 checks its witness from it.
+    """
 
     condition: Condition
     covers: frozenset[int]
     view: str | None  # view name, or None for an original condition
+    theta: Substitution | None = None
 
     @property
     def is_view(self) -> bool:
@@ -193,7 +200,8 @@ def view_instantiations(query: Query, views: Mapping[str, Query],
                                          index_stats=index_stats):
                 instantiated = view.head.substitute(mapping.subst)
                 atoms.append(CandidateAtom(Condition(instantiated, name),
-                                           mapping.covers, name))
+                                           mapping.covers, name,
+                                           mapping.subst))
                 span.add("mappings")
                 found += 1
                 if explain is not None:
@@ -368,8 +376,10 @@ def _search(query: Query, flags: tuple, result: RewriteResult,
     # programs_equivalent would, so the shared components are
     # byte-identical to the per-candidate ones they replace.
     target_key = program_key([target])
-    target_components = session.decompose(prepare_program(
-        [target], budget=budget, session=session))
+    target_rules = prepare_program([target], budget=budget,
+                                   session=session)
+    target_components = session.decompose(target_rules)
+    step2 = Step2Target(target_rules[0])
 
     atoms = session.candidate_atoms(target, tracer=tracer, budget=budget,
                                     stats=result.stats, explain=explain)
@@ -448,7 +458,8 @@ def _search(query: Query, flags: tuple, result: RewriteResult,
                 accepted, verdict, reason, detail = _test_candidate(
                     candidate, target, result, session, tracer, budget,
                     explain is not None, target_key=target_key,
-                    target_components=target_components)
+                    target_components=target_components,
+                    step2=step2, atoms=chosen)
                 span.set("accepted", accepted is not None)
                 if explain is not None:
                     span.set("verdict", verdict)
@@ -486,7 +497,7 @@ def _merge_duplicate_atoms(atoms: list[CandidateAtom],
         else:
             merged[atom.condition] = CandidateAtom(
                 existing.condition, existing.covers | atom.covers,
-                existing.view)
+                existing.view, existing.theta)
             stats.candidates_pruned_duplicate += 1
         if merge_counts is not None:
             merge_counts[atom.condition] = \
@@ -518,7 +529,9 @@ def _test_candidate(candidate: Query, target: Query,
                     tracer=NULL_TRACER, budget=None,
                     explain_active: bool = False, *,
                     target_key: str | None = None,
-                    target_components=None
+                    target_components=None,
+                    step2: Step2Target | None = None,
+                    atoms: Sequence[CandidateAtom] = ()
                     ) -> tuple[Rewriting | None, str, str | None,
                                dict | None]:
     """Steps 1C + 2 for one candidate, over *session*'s views.
@@ -527,8 +540,13 @@ def _test_candidate(candidate: Query, target: Query,
     verdict/reason strings are cheap to produce; the expensive
     equivalence-failure diagnosis (which graph component has no mapping)
     only runs when *explain_active*.  *target_key* /
-    *target_components* are ``_search``'s once-per-run precomputation
-    of the right side of the Step 2 test.
+    *target_components* / *step2* are ``_search``'s once-per-run
+    precomputation of the right side of the Step 2 test; with *step2*
+    and the Step 1A *atoms* the candidate was built from, the
+    query ⊆ composition half is checked from a witness
+    (:mod:`repro.rewriting.witness`) before it is searched.  Each
+    composition rule is chased once, and the accepted rewriting keeps
+    the chased rules unminimized.
     """
     views = session.views
     try:
@@ -537,39 +555,79 @@ def _test_candidate(candidate: Query, target: Query,
         result.stats.candidates_failed_chase += 1
         return None, "failed-chase", str(exc), None
     try:
-        composed = compose(candidate, views, tracer=tracer, budget=budget)
+        rules, witness = prepared_composition(candidate, session, step2,
+                                              atoms, tracer=tracer,
+                                              budget=budget)
     except CompositionError as exc:
         result.stats.candidates_failed_composition += 1
         return None, "failed-composition", str(exc), None
-    composed = prepare_program(composed, minimize_rules=True,
-                               budget=budget, session=session)
-    result.stats.composition_rules += len(composed)
+    result.stats.composition_rules += len(rules)
     if not session.programs_equivalent(
-            composed, [target], tracer=tracer, budget=budget,
-            right_key=target_key, right_components=target_components):
+            rules, [target], tracer=tracer, budget=budget,
+            right_key=target_key, left_components=session.decompose(rules),
+            right_components=target_components, witness=witness):
         reason, detail = _equivalence_failure_reason(
-            composed, target, session, budget, explain_active)
+            rules, target, session, budget, explain_active)
         return None, "failed-equivalence", reason, detail
     views_used = frozenset(c.source for c in candidate.body
                            if c.source in views)
-    rewriting = Rewriting(query=candidate, composition=composed,
+    rewriting = Rewriting(query=candidate, composition=rules,
                           views_used=views_used)
     return (rewriting, "accepted",
             f"composition is equivalent to the query "
-            f"({len(composed)} composition rule(s))" if explain_active
+            f"({len(rules)} composition rule(s))" if explain_active
             else None, None)
+
+
+def prepared_composition(candidate: Query, session: RewriteSession,
+                         step2: Step2Target | None = None,
+                         atoms: Sequence[CandidateAtom] = (), *,
+                         tracer=NULL_TRACER, budget=None
+                         ) -> tuple[list[Query], Step2Witness | None]:
+    """Step 2's left side: the composition of the chased *candidate*.
+
+    Returns the composition rules, each chased once (contradictory
+    rules drop out), and, given the search's *step2* target and the
+    Step 1A *atoms* the candidate was built from, the
+    :class:`~repro.rewriting.witness.Step2Witness` for its
+    query ⊆ composition half (else None).  Raises
+    :class:`~repro.errors.CompositionError` as :func:`compose` does.
+    """
+    provenance: list = []
+    composed = compose(candidate, session.views, tracer=tracer,
+                       budget=budget, provenance=provenance)
+    rules: list[Query] = []
+    origins: list = []
+    for rule, origin in zip(composed, provenance):
+        try:
+            rules.append(session.chase(rule, budget=budget))
+        except ChaseContradictionError:
+            continue  # empty on every legal database: contributes nothing
+        origins.append(origin)
+    witness = None
+    if step2 is not None and atoms:
+        witness = Step2Witness(step2, rules, origins, candidate, atoms)
+    return rules, witness
 
 
 def _equivalence_failure_reason(composed, target, session, budget,
                                 explain_active
                                 ) -> tuple[str | None, dict | None]:
-    """Name the graph component on which the Step 2 test failed."""
+    """Name the graph component on which the Step 2 test failed.
+
+    The report quotes a composition component, so it is computed over
+    the minimized rules: the core names the failing condition without
+    the redundant view-body copies.  Only an EXPLAIN run that rejects a
+    candidate pays for the minimization.
+    """
     if not explain_active:
         return None, None
     if not composed:
         return ("the composition is empty: the candidate is "
                 "unsatisfiable against the view definitions", None)
-    obstacle = equivalence_obstacle(composed, [target], budget=budget,
+    core = prepare_program(composed, minimize_rules=True, budget=budget,
+                           session=session)
+    obstacle = equivalence_obstacle(core, [target], budget=budget,
                                     session=session)
     if obstacle is None:  # diagnostic re-run disagreed; report plainly
         return "composition is not equivalent to the query", None

@@ -349,11 +349,11 @@ class RewriteSession:
         return components
 
     def programs_equivalent(self, left: Sequence[Query],
-                            right: Sequence[Query],
-                            minimize_rules: bool = False, *,
+                            right: Sequence[Query], *,
                             tracer=None, budget=None,
                             right_key: str | None = None,
-                            right_components=None) -> bool:
+                            left_components=None, right_components=None,
+                            witness=None) -> bool:
         """Memoized equivalence verdict (symmetric, canonical-keyed).
 
         Batching support: when one *right* side is tested against many
@@ -361,7 +361,9 @@ class RewriteSession:
         *right_key* (``program_key(right)``) and *right_components*
         (prepared + decomposed) so neither is redone per candidate.
         Both must describe exactly *right* under this session's
-        constraints.
+        constraints.  *left_components* and *witness* pass through to
+        :func:`~repro.rewriting.equivalence.programs_equivalent` on a
+        miss.
         """
         from .equivalence import programs_equivalent
         left = list(left)
@@ -369,20 +371,19 @@ class RewriteSession:
         left_key = program_key(left)
         if right_key is None:
             right_key = program_key(right)
-        key = (left_key, right_key, minimize_rules)
+        key = (left_key, right_key)
         value = self._equivalence.get(key)
         if value is _MISS:
             # Equivalence is symmetric; probe the mirrored pair too
             # (counted against the same table).
-            value = self._equivalence.get(
-                (right_key, left_key, minimize_rules))
+            value = self._equivalence.get((right_key, left_key))
         if value is not _MISS:
             return value
-        verdict = programs_equivalent(left, right,
-                                      minimize_rules=minimize_rules,
-                                      tracer=tracer, budget=budget,
-                                      session=self,
-                                      right_components=right_components)
+        verdict = programs_equivalent(left, right, tracer=tracer,
+                                      budget=budget, session=self,
+                                      left_components=left_components,
+                                      right_components=right_components,
+                                      witness=witness)
         self._equivalence.put(key, verdict)
         return verdict
 

@@ -13,6 +13,10 @@ restarted server serves its first repeated query as a memo hit.
 
 What round-trips: the probe query, the search flags, every accepted
 rewriting (query, composition rules, views used) and the run's stats.
+Step 2 keeps each composition rule as the chase left it, one view-body
+copy per resolution goal; the document stores its core instead
+(:func:`~repro.rewriting.equivalence.minimize`, equivalent and about a
+third the size), so a reloaded rewriting carries minimized rules.
 What does not: the EXPLAIN decision log (``explanation`` reloads as
 ``None``) -- an ``explain=True`` lookup then treats the entry as a miss
 and recomputes, which is exactly the memo's documented upgrade path.
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import json
 
+from ..rewriting.equivalence import minimize
 from ..rewriting.rewriter import RewriteResult, RewriteStats, Rewriting
 from ..rewriting.session import RewriteSession
 from ..tsl.serialize import query_from_json as _query_from_json
@@ -45,7 +50,7 @@ def _entry_to_json(key_flags, value) -> dict:
         "rewritings": [
             {
                 "query": _query_to_json(rewriting.query),
-                "composition": [_query_to_json(rule)
+                "composition": [_query_to_json(minimize(rule))
                                 for rule in rewriting.composition],
                 "views_used": sorted(rewriting.views_used),
             }

@@ -27,6 +27,7 @@ session_mod = importlib.import_module("repro.rewriting.session")
 signature_mod = importlib.import_module("repro.analysis.viewset.signature")
 index_mod = importlib.import_module("repro.rewriting.index")
 oracles_mod = importlib.import_module("repro.oracle.oracles")
+witness_mod = importlib.import_module("repro.rewriting.witness")
 durable_mod = importlib.import_module("repro.storage.durable")
 cachestore_mod = importlib.import_module("repro.storage.cachestore")
 maintenance_mod = importlib.import_module("repro.storage.maintenance")
@@ -282,6 +283,32 @@ def test_index_oracle_parity_campaign():
     assert report.ok, "\n".join(f.message for f in report.failures)
     assert report.iterations_run == 500
     assert report.checks["index"] > 500
+
+
+def test_always_yes_step2_witness_is_caught(monkeypatch):
+    # A witness that proves query ⊆ composition without checking
+    # anything agrees with the search on real candidates (the half holds
+    # by construction) but not once a query path is dropped.
+    monkeypatch.setattr(witness_mod.Step2Witness, "holds",
+                        lambda self, budget=None: True)
+    report = run_fuzz(FuzzConfig(seed=0, iterations=8,
+                                 oracles=("step2",), shrink=False))
+    assert not report.ok
+    assert {f.invariant for f in report.failures} \
+        == {"witness-unsound-dropped-path"}
+
+
+def test_step2_oracle_counts_witness_hits():
+    # Every search candidate is a witness hit; the perturbations add two
+    # more comparisons per candidate where the query has two paths.
+    report = run_fuzz(FuzzConfig(seed=7, iterations=24,
+                                 oracles=("step2",)))
+    assert report.ok, "\n".join(f.message for f in report.failures)
+    hits = report.counters["step2.hits"]
+    assert hits > 0
+    assert report.counters.get("step2.fallbacks", 0) == 0
+    assert hits < report.checks["step2"] <= 3 * hits
+    assert report.to_json()["counters"] == report.counters
 
 
 def test_lossy_wal_is_caught(monkeypatch):

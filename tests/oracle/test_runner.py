@@ -42,7 +42,7 @@ def test_report_json_is_serializable():
     assert data["iterations"] == 4
     assert set(data["checks"]) == {"containment", "index", "memo",
                                    "metamorphic", "persist", "semantic",
-                                   "signature"}
+                                   "signature", "step2"}
     assert data["failures"] == []
 
 

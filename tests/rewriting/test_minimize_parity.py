@@ -12,6 +12,7 @@ import importlib
 
 import pytest
 
+from repro.errors import ChaseContradictionError
 from repro.logic.subst import Substitution
 from repro.oracle.gen import PROFILES, generate_case
 from repro.oracle.oracles import _pad_with_path_copies
@@ -27,6 +28,7 @@ from repro.workloads import (conference_query, conference_view, query_q3,
 from repro.workloads.biblio import CONFERENCES
 
 equivalence_mod = importlib.import_module("repro.rewriting.equivalence")
+rewriter_mod = importlib.import_module("repro.rewriting.rewriter")
 
 
 def greedy_minimize(query: Query) -> Query:
@@ -57,16 +59,23 @@ def assert_same_core(actual: Query, expected: Query) -> None:
 
 
 def compositions(monkeypatch, query, views, constraints=None):
-    """The queries ``minimize`` sees while *query* is rewritten."""
+    """The chased composition rules of every candidate tested while
+    *query* is rewritten: what ``minimize`` is asked to shrink when a
+    composition is minimized (for storage, or for an EXPLAIN report)."""
     seen: list[Query] = []
-    real = equivalence_mod.minimize
+    real = rewriter_mod.compose
 
-    def spy(composed, *, budget=None):
-        seen.append(composed)
-        return real(composed, budget=budget)
+    def spy(*args, **kwargs):
+        rules = real(*args, **kwargs)
+        for rule in rules:
+            try:
+                seen.append(chase(rule, constraints))
+            except ChaseContradictionError:
+                pass
+        return rules
 
     with monkeypatch.context() as patch:
-        patch.setattr(equivalence_mod, "minimize", spy)
+        patch.setattr(rewriter_mod, "compose", spy)
         rewrite(query, views, constraints)
     return seen
 

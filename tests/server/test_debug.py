@@ -163,6 +163,20 @@ class TestDebugRequests:
         assert json.dumps(recorded, sort_keys=True) == local
         assert json.dumps(wire["explanation"], sort_keys=True) == local
 
+    def test_equivalence_span_records_the_witness(self, srv):
+        # A served Q3's Step 2 proves query ⊆ composition from its
+        # Step 1A mapping; the outcome rides on the equivalence span.
+        status, _headers, _body = srv.request_full(
+            "POST", "/rewrite", rewrite_body(),
+            headers={"X-Repro-Request-Id": "witness-probe"})
+        assert status == 200
+        status, body = srv.get("/debug/requests/witness-probe")
+        assert status == 200
+        outcomes = [span["attrs"].get("witness")
+                    for span in body["request"]["trace"]
+                    if span["name"] == "equivalence"]
+        assert outcomes and set(outcomes) == {"hit"}
+
     def test_memo_hit_explain_still_byte_identical(self, srv):
         srv.post("/rewrite", rewrite_body())   # cold: stores explanation
         srv.request_full("POST", "/rewrite", rewrite_body(),

@@ -3,10 +3,15 @@
 import json
 
 from repro.rewriting.canon import query_key
+from repro.rewriting.constraints import paper_dtd
+from repro.rewriting.equivalence import minimize, programs_equivalent
 from repro.rewriting.session import RewriteSession
 from repro.storage import SessionRegistry, StorageLayout
 from repro.tsl.parser import parse_query
-from repro.workloads import query_q3, view_v1
+from repro.tsl.serialize import query_from_json
+from repro.workloads import (conference_query, conference_view, query_q3,
+                             query_q5, query_q7, view_v1)
+from repro.workloads.biblio import CONFERENCES
 
 
 def fingerprint(result) -> set:
@@ -120,3 +125,60 @@ class TestStats:
         assert document["schema_version"] == 1
         assert document["store_version"] == 7
         assert document["config_key"] == "cfg"
+
+
+#: Bytes the registry wrote for the two sessions of
+#: ``warm_serve_sessions`` when Step 2 itself stored minimized
+#: compositions.  Unminimized, the same document is ~3x larger in its
+#: composition rules.
+MINIMIZED_DOCUMENT_BYTES = 149_137
+
+
+def warm_serve_sessions():
+    """The 10 warm serve families: the paper's Q3/Q5/Q7 over (V1) under
+    its DTD, and one year filter per conference over the per-conference
+    statements."""
+    people = RewriteSession({"V1": view_v1()}, paper_dtd())
+    for query in (query_q3(), query_q5(), query_q7()):
+        assert people.rewrite(query).rewritings
+    biblio = RewriteSession({f"V{c}": conference_view(c, f"V{c}")
+                             for c in CONFERENCES})
+    for conference in CONFERENCES:
+        assert biblio.rewrite(conference_query(conference, 4321)) \
+            .rewritings
+    return {"people": people, "biblio": biblio}
+
+
+class TestCompactCompositions:
+    def test_saved_compositions_are_cores_and_no_larger(self, tmp_path):
+        sessions = warm_serve_sessions()
+        layout = StorageLayout(tmp_path)
+        registry = SessionRegistry(layout)
+        written = sum(registry.save(name, session, store_version=0)
+                      ["bytes"] for name, session in sessions.items())
+        assert written <= MINIMIZED_DOCUMENT_BYTES
+        for name in sessions:
+            document = json.loads(layout.session_path(name).read_text())
+            for entry in document["entries"]:
+                for rewriting in entry["rewritings"]:
+                    for record in rewriting["composition"]:
+                        rule = query_from_json(record)
+                        assert len(minimize(rule).body) == len(rule.body)
+
+    def test_reloaded_fingerprints_are_unchanged(self, tmp_path):
+        sessions = warm_serve_sessions()
+        registry = SessionRegistry(StorageLayout(tmp_path))
+        for name, session in sessions.items():
+            registry.save(name, session, store_version=0)
+            fresh = RewriteSession(session.views, session.constraints)
+            registry.load_into(name, fresh, store_version=0)
+            for (_key, flags), (query, outcome, _e) in \
+                    session.result_entries():
+                warm, _explanation = fresh.lookup_result(query, flags)
+                assert fingerprint(warm) == fingerprint(outcome)
+                for reloaded, original in zip(warm.rewritings,
+                                              outcome.rewritings):
+                    assert programs_equivalent(
+                        reloaded.composition, original.composition,
+                        session=RewriteSession((), session.constraints,
+                                               memo_size=0))

@@ -248,7 +248,7 @@ class TestFuzz:
         assert data["iterations"] == 4
         assert set(data["checks"]) == {"containment", "index", "memo",
                                        "metamorphic", "persist",
-                                       "semantic", "signature"}
+                                       "semantic", "signature", "step2"}
 
     def test_oracle_and_profile_selection(self, capsys):
         assert main(["fuzz", "--seed", "1", "--iterations", "3",
