@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 
 from repro.rewriting import chase, compose, programs_equivalent
-from repro.rewriting.equivalence import prepare_program
+from repro.rewriting.equivalence import minimize, prepare_program
 from repro.tsl import parse_query, query_paths
 from repro.workloads import fanout_probe_query, fanout_view, view_v1
 
@@ -42,36 +42,40 @@ def _fanout_case(fanout: int):
     view = fanout_view(fanout, name="V")
     probe = fanout_probe_query("V")
     composed = compose(probe, {"V": view})
-    reference = prepare_program(composed, minimize_rules=True)
-    return composed, reference
+    return composed, _prepared(composed, True)
 
 
-def equivalence_run(composed, reference, minimize_rules: bool):
+def _prepared(composed, minimized: bool):
+    """The chased rules of *composed*, each minimized when asked."""
+    rules = prepare_program(composed)
+    return [minimize(rule) for rule in rules] if minimized else rules
+
+
+def equivalence_run(composed, reference, minimized: bool):
     """Time one equivalence test; return its seconds, its decision and
     the body paths it compared (after the chase, and minimization when
     on)."""
     started = time.perf_counter()
-    prepared = prepare_program(composed, minimize_rules=minimize_rules)
+    prepared = _prepared(composed, minimized)
     decision = programs_equivalent(prepared, reference)
     seconds = time.perf_counter() - started
     return seconds, decision, sum(len(query_paths(r)) for r in prepared)
 
 
-def equivalence_time(composed, reference, minimize_rules: bool) -> float:
-    seconds, decision, _ = equivalence_run(composed, reference,
-                                           minimize_rules)
+def equivalence_time(composed, reference, minimized: bool) -> float:
+    seconds, decision, _ = equivalence_run(composed, reference, minimized)
     assert decision
     return seconds
 
 
 def _rows(case: str, composed, reference) -> list[dict]:
     rows = []
-    for minimize_rules in (False, True):
+    for minimized in (False, True):
         seconds, decision, tested = equivalence_run(composed, reference,
-                                                    minimize_rules)
+                                                    minimized)
         rows.append({
             "case": case,
-            "minimize": minimize_rules,
+            "minimize": minimized,
             "paths": sum(len(query_paths(r)) for r in composed),
             "tested_paths": tested,
             "equivalent": decision,
@@ -113,10 +117,8 @@ def test_paper_case_raw(benchmark):
 
 def test_decisions_agree():
     composed, q3 = _paper_case()
-    assert programs_equivalent(
-        prepare_program(composed, minimize_rules=True), [q3])
-    assert programs_equivalent(
-        prepare_program(composed, minimize_rules=False), [q3])
+    assert programs_equivalent(_prepared(composed, True), [q3])
+    assert programs_equivalent(_prepared(composed, False), [q3])
 
 
 if __name__ == "__main__":

@@ -13,6 +13,10 @@ semantic
     the query's and each view's direct evaluation, which the database's
     label and value indexes drive, must be identical to evaluation
     through the Datalog translation (E13), which uses none of them.
+    The maximally contained search (Section 7) is held to the same
+    standard, under a budget: each returned composition's answer is
+    contained in the query's, an ``is_equivalent`` one's is identical,
+    and the exposing view yields an equivalent rewriting.
 
 containment
     Differential check of the containment-mapping engine against the
@@ -92,18 +96,21 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from ..analysis.viewset.signature import query_profile, view_signature
-from ..errors import ChaseContradictionError, CompositionError, ReproError
+from ..errors import (ChaseContradictionError, CompositionError,
+                      CyclicPatternError, ReproError)
 from ..logic.subst import Substitution
 from ..logic.terms import FunctionTerm, Variable
 from ..logic.translate import evaluate_via_datalog
 from ..oem.equivalence import explain_difference, identical
 from ..oem.model import OemDatabase
 from ..oem.serialize import database_to_json
+from ..obs import Budget
 from ..repository.cache import QueryCache
 from ..rewriting import canon
 from ..rewriting.canon import query_key
 from ..rewriting.chase import chase
 from ..rewriting.composition import compose
+from ..rewriting.contained import maximally_contained_rewritings
 from ..rewriting.equivalence import (components_subsumed, equivalent,
                                      minimize, prepare_program)
 from ..rewriting.explain import Explanation
@@ -225,6 +232,38 @@ def _removable_path(query: Query):
     return None
 
 
+#: Limits of one contained search in the semantic oracle.  The step
+#: cap binds first on the generator's cases, so check counts do not
+#: depend on machine speed; the deadline only bounds the worst case.
+CONTAINED_MAX_STEPS = 5_000
+CONTAINED_DEADLINE_MS = 2_000
+
+
+def _containment_gap(left: OemDatabase, right: OemDatabase) -> str | None:
+    """Why answer *left* is not contained in answer *right*, or None.
+
+    Contained means every root of *left* is a root of *right*, and every
+    object reachable in *left* is in *right* with the same label and
+    kind, the same value when atomic, and a subset of its subobjects.
+    """
+    for root in left.roots:
+        if not right.is_root(root):
+            return f"root {root} only in {left.name}"
+    for oid in sorted(left.reachable_oids(), key=str):
+        if oid not in right or left.label(oid) != right.label(oid) \
+                or left.is_atomic(oid) != right.is_atomic(oid):
+            return f"object {oid} of {left.name} is not in {right.name}"
+        if left.is_atomic(oid):
+            if left.atomic_value(oid) != right.atomic_value(oid):
+                return f"object {oid}: value {left.atomic_value(oid)!r}"
+        else:
+            extra = set(left.children(oid)) - set(right.children(oid))
+            if extra:
+                return (f"object {oid}: subobjects "
+                        f"{sorted(extra, key=str)} only in {left.name}")
+    return None
+
+
 class SemanticOracle:
     """Evaluate Q and every rewriting; the answers must be identical."""
 
@@ -270,7 +309,45 @@ class SemanticOracle:
                 self.name, "rewriting-complete",
                 "case admits a rewriting by construction (exposing view) "
                 "but the rewriter found none"))
+        self._check_contained(case, expected, result)
         return result
+
+    def _check_contained(self, case: Case, expected: OemDatabase,
+                         result: OracleResult) -> None:
+        """The maximally contained search: sound, exact when it says
+        equivalent, and complete on the exposing view.  Its checks are
+        tallied on the ``contained`` counter too."""
+        checks_before = result.checks
+        budget = Budget(deadline_ms=CONTAINED_DEADLINE_MS,
+                        max_steps=CONTAINED_MAX_STEPS)
+        outcome = maximally_contained_rewritings(
+            case.query, case.views, case.constraints, budget=budget)
+        for rewriting in outcome:
+            result.checks += 1
+            inlined = evaluate_program(rewriting.composition, case.db)
+            gap = _containment_gap(inlined, expected)
+            if gap is not None:
+                result.failures.append(Failure(
+                    self.name, "contained-sound",
+                    f"contained rewriting {rewriting.query} answers more "
+                    f"than Q: {gap}"))
+            elif rewriting.is_equivalent:
+                result.checks += 1
+                if not identical(expected, inlined):
+                    result.failures.append(Failure(
+                        self.name, "contained-equivalent",
+                        f"rewriting {rewriting.query} is flagged "
+                        f"equivalent but answers less than Q: "
+                        f"{_diff_summary(expected, inlined)}"))
+        if case.expect_rewriting and not outcome.truncated:
+            result.checks += 1
+            if not any(r.is_equivalent for r in outcome):
+                result.failures.append(Failure(
+                    self.name, "contained-complete",
+                    "case admits an equivalent rewriting by construction "
+                    "(exposing view) but the contained search flagged "
+                    "none equivalent"))
+        result.counters["contained"] += result.checks - checks_before
 
     def _check_datalog(self, case: Case, expected: OemDatabase,
                        materialized: dict[str, OemDatabase],
@@ -1035,7 +1112,8 @@ class Step2Oracle:
             candidate = session.chase(candidate)
             rules, witness = prepared_composition(candidate, session,
                                                   step2, chosen)
-        except (ChaseContradictionError, CompositionError):
+        except (ChaseContradictionError, CompositionError,
+                CyclicPatternError):
             return
         composition = decompose_program(rules)
         full = components_subsumed(decompose_program([step2.rule]),

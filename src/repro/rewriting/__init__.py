@@ -3,7 +3,7 @@
 from .index import IndexStats, PathIndex, statically_compatible
 from .mappings import (Mapping, body_mappings, component_mapping, coverage,
                        find_mappings, map_path_into,
-                       most_constrained_order, query_maps_into)
+                       most_constrained_order)
 from .canon import (Canonical, canonicalize, component_key, condition_key,
                     intern_condition, program_key, query_key)
 from .chase import StructuralConstraints, chase
@@ -23,7 +23,7 @@ from .dataguide import DataGuide, build_dataguide, dtd_from_dataguide
 
 __all__ = [
     "Mapping", "find_mappings", "body_mappings", "map_path_into",
-    "coverage", "component_mapping", "query_maps_into",
+    "coverage", "component_mapping",
     "most_constrained_order",
     "PathIndex", "IndexStats", "statically_compatible",
     "chase", "StructuralConstraints",

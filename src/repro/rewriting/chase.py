@@ -18,7 +18,9 @@ empty result on every database satisfying the key dependency
 Termination relies on the absence of cyclic object patterns (validated by
 :mod:`repro.tsl.validate`): each oid term can trigger the set-variable
 expansion at most once, and every other rule eliminates a variable or a
-path.
+path.  Unvalidated inputs (views, compositions) are checked before
+union saturation, which would graft forever on a cycle
+(:class:`~repro.errors.CyclicPatternError`, TSL003).
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-from ..errors import ChaseContradictionError
+from ..errors import ChaseContradictionError, CyclicPatternError
 from ..logic.subst import Substitution
 from ..logic.terms import Atom, Constant, Term, Variable
 from ..logic.unify import unify
 from ..obs import NULL_TRACER
-from ..tsl.ast import (Query, SetPattern, SetPatternTerm,
+from ..tsl.ast import (ObjectPattern, Query, SetPattern, SetPatternTerm,
                        fresh_variable_factory)
 from ..tsl.normalize import Path, normalize, path_to_condition, query_paths
 
@@ -132,7 +134,7 @@ def _key_dependency_step(query: Query,
             for leaf in leaf_terms:
                 if isinstance(leaf, Variable):
                     replacement = SetPatternTerm(SetPattern((
-                        _fresh_pattern(fresh),)))
+                        ObjectPattern(fresh(), fresh(), fresh()),)))
                     subst = Substitution({leaf: replacement})
                     return normalize(query.substitute(subst))
         # Rule: two term-valued occurrences unify.
@@ -144,9 +146,29 @@ def _key_dependency_step(query: Query,
     return None
 
 
-def _fresh_pattern(fresh) -> "object":
-    from ..tsl.ast import ObjectPattern
-    return ObjectPattern(fresh(), fresh(), fresh())
+def _check_acyclic(paths: list[Path]) -> None:
+    """Raise TSL003 when the paths' oid parent->child graph has a cycle.
+
+    Nodes are ``(source, oid)``, the keys :func:`_saturate_unions`
+    grafts at; grafting only follows existing edges, so saturation
+    terminates exactly when this graph is acyclic.  Nodes whose children
+    are all gone are peeled off until none is left or a cycle blocks.
+    """
+    children: dict[tuple, set] = {}
+    for path in paths:
+        nodes = [(path.source, oid) for oid, _label in path.steps]
+        for parent, child in zip(nodes, nodes[1:]):
+            children.setdefault(parent, set()).add(child)
+    while children:
+        peeled = [node for node, kids in children.items()
+                  if kids.isdisjoint(children)]
+        if not peeled:
+            name = min(str(oid) for _source, oid in children)
+            raise CyclicPatternError("body patterns look for a cycle at "
+                                     f"or below oid term {name}",
+                                     code="TSL003")
+        for node in peeled:
+            del children[node]
 
 
 def _saturate_unions(paths: list[Path]) -> list[Path]:
@@ -168,7 +190,8 @@ def _saturate_unions(paths: list[Path]) -> list[Path]:
     output order is insertion order, so it is deterministic across
     processes.
 
-    Terminates because paths are acyclic over a finite step alphabet.
+    Terminates because the caller has checked the oid graph acyclic
+    (:func:`_check_acyclic`) and every graft follows its edges.
     """
     seen = set(paths)
     ordered = list(paths)
@@ -319,7 +342,8 @@ def chase(query: Query,
     labeled-FD chase from *constraints* when given.  *tracer* records a
     ``chase`` span with an iteration counter; *budget* is ticked once
     per fixpoint iteration and may raise
-    :class:`~repro.errors.BudgetExceededError`.
+    :class:`~repro.errors.BudgetExceededError`.  A cyclic object
+    pattern raises :class:`~repro.errors.CyclicPatternError`.
     """
     tracer = tracer or NULL_TRACER
     with tracer.span("chase") as span:
@@ -335,6 +359,7 @@ def chase(query: Query,
                 if stepped is None:
                     stepped = _labeled_fd_step(current, paths, constraints)
             if stepped is None:
+                _check_acyclic(paths)
                 reduced = _drop_subsumed_empty_paths(
                     _saturate_unions(paths))
                 if set(reduced) != set(paths):

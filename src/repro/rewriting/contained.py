@@ -19,34 +19,32 @@ mapping from some component of ``right``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from ..errors import (BudgetExceededError, ChaseContradictionError,
-                      CompositionError)
+                      CompositionError, CyclicPatternError)
+from ..logic.subst import Substitution
 from ..obs import NULL_TRACER
-from ..tsl.ast import Query
-from ..tsl.decompose import decompose_program
+from ..tsl.ast import Condition, Query, fresh_variable_factory
 from ..tsl.normalize import path_to_condition, query_paths
 from ..tsl.validate import is_safe
-from .chase import StructuralConstraints, chase
-from .composition import compose
-from ..logic.subst import Substitution
-from ..tsl.ast import Condition, fresh_variable_factory
+from .chase import StructuralConstraints
 from .equivalence import components_subsumed, prepare_program
 from .mappings import body_mappings
-from .rewriter import CandidateAtom
-from .session import _as_view_dict
+from .rewriter import CandidateAtom, prepared_composition
+from .session import RewriteSession
 
 
 def programs_contained(left: Iterable[Query], right: Iterable[Query],
                        constraints: StructuralConstraints | None = None
                        ) -> bool:
     """Decide ``left ⊆ right`` (results contained on every database)."""
-    left_rules = prepare_program(left, constraints)
-    right_rules = prepare_program(right, constraints)
-    return components_subsumed(decompose_program(left_rules),
-                               decompose_program(right_rules))
+    session = RewriteSession((), constraints, memo_size=0)
+    return components_subsumed(*(
+        session.decompose(prepare_program(rules, session=session))
+        for rules in (left, right)))
 
 
 def contained_in(candidate: Query, query: Query,
@@ -55,24 +53,23 @@ def contained_in(candidate: Query, query: Query,
     return programs_contained([candidate], [query], constraints)
 
 
-def partial_view_instantiations(
-        target: Query, views: Mapping[str, Query],
-        constraints: StructuralConstraints | None = None, *,
-        budget=None) -> list[CandidateAtom]:
+def partial_view_instantiations(target: Query, session: RewriteSession, *,
+                                budget=None) -> list[CandidateAtom]:
     """Candidate view accesses for *contained* rewritings.
 
     Unlike the equivalence case (Lemma 5.1), a view is relevant whenever
     any non-empty *subset* of its body maps into the query body -- the
     unmapped conditions only narrow the composition, which containment
     tolerates.  Unmapped view variables are renamed fresh so they cannot
-    accidentally join with the query's variables.
+    accidentally join with the query's variables.  Views come prepared
+    from *session*.
     """
     atoms: list[CandidateAtom] = []
     seen: set[Condition] = set()
     taken = set(target.all_variables())
     fresh = fresh_variable_factory(taken, stem="U")
-    for name in sorted(views):
-        view = chase(views[name], constraints, budget=budget)
+    for name in sorted(session.views):
+        view = session.prepared_view(name, budget=budget)
         view_paths = query_paths(view)
         indices = range(len(view_paths))
         for size in range(1, len(view_paths) + 1):
@@ -135,43 +132,48 @@ def maximally_contained_rewritings(
     an equivalent rewriting exists it is returned (it dominates), flagged
     ``is_equivalent``.  A *budget* expiry stops the search; the
     rewritings accepted so far go through the maximality filter and are
-    returned with ``truncated=True``.
+    returned with ``truncated=True``.  The search runs on a one-shot
+    :class:`~repro.rewriting.session.RewriteSession`; compositions are
+    chased once and kept unminimized, as ``rewrite()`` keeps them.
     """
     tracer = tracer or NULL_TRACER
-    views = _as_view_dict(views)
+    session = RewriteSession(views, constraints, memo_size=0)
     result = ContainedResult()
-    accepted: list[tuple[ContainedRewriting, list[Query]]] = []
+    accepted: list[tuple[ContainedRewriting, list]] = []
     with tracer.span("contained_rewrite",
                      query=query.name or str(query.head)) as span:
         try:
-            _contained_search(query, views, constraints, total_only,
-                              result, accepted, tracer, budget)
+            _contained_search(query, session, total_only, result,
+                              accepted, tracer, budget)
         except BudgetExceededError as exc:
             result.truncated = True
             result.stop_reason = exc.reason or "budget"
             span.set("truncated", result.stop_reason)
         with tracer.span("keep_maximal"):
-            result.rewritings = _keep_maximal(accepted, constraints)
+            result.rewritings = _keep_maximal(accepted)
         span.add("candidates_tested", result.candidates_tested)
         span.add("rewritings", len(result.rewritings))
     return result
 
 
-def _contained_search(query: Query, views: Mapping[str, Query],
-                      constraints: StructuralConstraints | None,
+def _contained_search(query: Query, session: RewriteSession,
                       total_only: bool, result: ContainedResult,
                       accepted: list, tracer, budget) -> None:
-    """The relaxed Step-2 search loop, accumulating into *accepted*."""
-    prepared = prepare_program([query], constraints, budget=budget)
+    """The relaxed Step-2 search loop, accumulating into *accepted*
+    each rewriting beside its composition's components.  A candidate
+    whose chase or composition fails (cyclic patterns included) is
+    rejected as a whole."""
+    prepared = prepare_program([query], budget=budget, session=session)
     if not prepared:
         return  # contradictory query: the empty answer is maximal
     target = prepared[0]
     target_paths = query_paths(target)
+    target_components = session.decompose(prepare_program(
+        [target], budget=budget, session=session))
     k = len(target_paths)
 
     with tracer.span("enumerate_mappings"):
-        atoms = partial_view_instantiations(target, views, constraints,
-                                            budget=budget)
+        atoms = partial_view_instantiations(target, session, budget=budget)
     if not total_only:
         atoms.extend(
             CandidateAtom(path_to_condition(path), frozenset([i]), None)
@@ -192,46 +194,46 @@ def _contained_search(query: Query, views: Mapping[str, Query],
             with tracer.span("candidate",
                              index=result.candidates_tested - 1):
                 try:
-                    candidate = chase(candidate, constraints,
-                                      tracer=tracer, budget=budget)
-                    composed = compose(candidate, views, tracer=tracer,
-                                       budget=budget)
-                except (ChaseContradictionError, CompositionError):
+                    candidate = session.chase(candidate, tracer=tracer,
+                                              budget=budget)
+                    composed, _witness = prepared_composition(
+                        candidate, session, tracer=tracer, budget=budget)
+                except (ChaseContradictionError, CompositionError,
+                        CyclicPatternError):
                     continue
-                composed = prepare_program(composed, constraints,
-                                           minimize_rules=True,
-                                           budget=budget)
                 if not composed:
                     continue  # empty composition: contributes nothing
-                if not programs_contained(composed, [target], constraints):
+                components = session.decompose(composed)
+                if not components_subsumed(components, target_components,
+                                           budget=budget):
                     continue
-                equivalent = programs_contained([target], composed,
-                                                constraints)
+                equivalent = components_subsumed(
+                    target_components, components, budget=budget)
             accepted.append((ContainedRewriting(
                 candidate, composed, frozenset(
-                    c.source for c in candidate.body if c.source in views),
-                equivalent), composed))
+                    c.source for c in candidate.body
+                    if c.source in session.views),
+                equivalent), components))
 
 
-def _keep_maximal(accepted, constraints) -> list[ContainedRewriting]:
-    """Drop rewritings strictly contained in another accepted one."""
-    maximal: list[ContainedRewriting] = []
-    for index, (rewriting, composed) in enumerate(accepted):
-        dominated = False
-        for other_index, (unused_other, other_composed) in \
-                enumerate(accepted):
-            if index == other_index:
-                continue
-            covers = programs_contained(composed, other_composed,
-                                        constraints)
-            covered_back = programs_contained(other_composed, composed,
-                                              constraints)
-            if covers and not covered_back:
-                dominated = True  # strictly smaller than the other
-                break
-            if covers and covered_back and other_index < index:
-                dominated = True  # equal: keep the first representative
-                break
-        if not dominated:
-            maximal.append(rewriting)
-    return maximal
+def _keep_maximal(accepted) -> list[ContainedRewriting]:
+    """Drop rewritings strictly contained in another accepted one.
+
+    Of mutually contained rewritings the first is kept.  Every accepted
+    composition is contained in the query, so an equivalent rewriting
+    contains all of them and only the first equivalent one survives.
+    Otherwise each ordered pair's containment is decided at most once.
+    """
+    first = next((r for r, _ in accepted if r.is_equivalent), None)
+    if first is not None:
+        return [first]
+
+    @cache
+    def contained(index: int, other: int) -> bool:
+        return components_subsumed(accepted[index][1], accepted[other][1])
+
+    return [rewriting for index, (rewriting, _) in enumerate(accepted)
+            if not any(
+                contained(index, other) and (
+                    other < index or not contained(other, index))
+                for other in range(len(accepted)) if other != index)]

@@ -44,26 +44,22 @@ def _session_for(constraints: StructuralConstraints | None,
 
 
 def prepare_program(rules: Iterable[Query],
-                    constraints: StructuralConstraints | None = None,
-                    minimize_rules: bool = False, *,
+                    constraints: StructuralConstraints | None = None, *,
                     budget=None, session=None) -> list[Query]:
     """Chase + normalize each rule; drop rules with contradictory bodies.
 
-    The per-rule chase and minimization run through *session* (a
+    The per-rule chase runs through *session* (a
     :class:`~repro.rewriting.session.RewriteSession`, whose constraints
-    apply), hitting its memo tables; without one, through a one-shot
+    apply), hitting its chase memo; without one, through a one-shot
     session over *constraints*.
     """
     session = _session_for(constraints, session)
     prepared: list[Query] = []
     for rule in rules:
         try:
-            chased = session.chase(rule, budget=budget)
+            prepared.append(session.chase(rule, budget=budget))
         except ChaseContradictionError:
             continue  # empty on every legal database: contributes nothing
-        if minimize_rules:
-            chased = session.minimize(chased, budget=budget)
-        prepared.append(chased)
     return prepared
 
 

@@ -266,12 +266,6 @@ def body_mappings(source_paths: list[Path], target_paths: list[Path],
     return results
 
 
-def body_mapping_exists(source_paths: list[Path], target_paths: list[Path],
-                        initial: Substitution | None = None) -> bool:
-    """Existence check: is there any complete containment mapping?"""
-    return bool(body_mappings(source_paths, target_paths, initial, limit=1))
-
-
 def coverage(source_paths: list[Path], target_paths: list[Path],
              subst: Substitution, *,
              index: PathIndex | None = None,
@@ -317,11 +311,6 @@ def find_mappings(view: Query, query: Query, *,
                                        budget=budget, index=index,
                                        use_index=use_index,
                                        index_stats=index_stats)]
-
-
-def query_maps_into(a: Query, b: Query) -> bool:
-    """True when some containment mapping sends body(*a*) into body(*b*)."""
-    return bool(body_mappings(query_paths(a), query_paths(b)))
 
 
 # --------------------------------------------------------------------------

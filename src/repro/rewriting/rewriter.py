@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Mapping, Sequence, Union
 
 from ..errors import (BudgetExceededError, ChaseContradictionError,
-                      CompositionError)
+                      CompositionError, CyclicPatternError)
 from ..logic.subst import Substitution
 from ..obs import NULL_TRACER, Tracer
 from ..obs.metrics import PHASE_SECONDS
@@ -41,7 +41,7 @@ from ..tsl.validate import is_safe
 from .canon import program_key
 from .chase import StructuralConstraints
 from .composition import compose
-from .equivalence import equivalence_obstacle, prepare_program
+from .equivalence import equivalence_obstacle, minimize, prepare_program
 from .index import IndexStats, PathIndex
 from .mappings import Mapping as ContainmentMapping
 from .mappings import find_mappings, mapping_obstacle
@@ -546,19 +546,19 @@ def _test_candidate(candidate: Query, target: Query,
     query ⊆ composition half is checked from a witness
     (:mod:`repro.rewriting.witness`) before it is searched.  Each
     composition rule is chased once, and the accepted rewriting keeps
-    the chased rules unminimized.
+    the chased rules unminimized; a cyclic one rejects the candidate.
     """
     views = session.views
     try:
         candidate = session.chase(candidate, tracer=tracer, budget=budget)
-    except ChaseContradictionError as exc:
+    except (ChaseContradictionError, CyclicPatternError) as exc:
         result.stats.candidates_failed_chase += 1
         return None, "failed-chase", str(exc), None
     try:
         rules, witness = prepared_composition(candidate, session, step2,
                                               atoms, tracer=tracer,
                                               budget=budget)
-    except CompositionError as exc:
+    except (CompositionError, CyclicPatternError) as exc:
         result.stats.candidates_failed_composition += 1
         return None, "failed-composition", str(exc), None
     result.stats.composition_rules += len(rules)
@@ -591,7 +591,10 @@ def prepared_composition(candidate: Query, session: RewriteSession,
     Step 1A *atoms* the candidate was built from, the
     :class:`~repro.rewriting.witness.Step2Witness` for its
     query ⊆ composition half (else None).  Raises
-    :class:`~repro.errors.CompositionError` as :func:`compose` does.
+    :class:`~repro.errors.CompositionError` as :func:`compose` does, and
+    :class:`~repro.errors.CyclicPatternError` for a cyclic rule, which
+    rejects the whole candidate: without the rule, a smaller union could
+    pass a containment test unsoundly.
     """
     provenance: list = []
     composed = compose(candidate, session.views, tracer=tracer,
@@ -625,8 +628,8 @@ def _equivalence_failure_reason(composed, target, session, budget,
     if not composed:
         return ("the composition is empty: the candidate is "
                 "unsatisfiable against the view definitions", None)
-    core = prepare_program(composed, minimize_rules=True, budget=budget,
-                           session=session)
+    core = [minimize(rule, budget=budget) for rule in
+            prepare_program(composed, budget=budget, session=session)]
     obstacle = equivalence_obstacle(core, [target], budget=budget,
                                     session=session)
     if obstacle is None:  # diagnostic re-run disagreed; report plainly

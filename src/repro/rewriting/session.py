@@ -10,24 +10,23 @@ every view and re-runs the full exponential search on every call; a
   session and reused by every ``rewrite()`` call;
 * **memo tables** -- bounded (LRU) caches, keyed on the canonical
   hashes of :mod:`~repro.rewriting.canon`, for ``chase()``,
-  ``minimize()``, ``decompose_program()``, ``programs_equivalent()``
-  verdict pairs, candidate-atom enumeration, and whole ``rewrite()``
-  results.
+  ``decompose_program()``, ``programs_equivalent()`` verdict pairs,
+  candidate-atom enumeration, and whole ``rewrite()`` results.
 
 Memo keys are canonical, so queries differing only in variable spelling
 or conjunct order share a slot; a hit is served directly when the
 stored query is structurally identical to the probe and *rebased*
-(renamed into the probe's variable space) for the chase/minimize
-tables otherwise.  Truncated (budget-stopped) results are never
+(renamed into the probe's variable space) for the chase table
+otherwise.  Truncated (budget-stopped) results are never
 memoized.  Every table exports ``cache.{hits,misses,evictions}``
 counters -- aggregate and per-table -- through a
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
 A session is bound to one ``(views, constraints)`` pair;
 :meth:`RewriteSession.update_views` swaps the view set while keeping
-the view-independent tables (chase, minimize, equivalence, decompose)
-warm -- the pattern the cached-query manager and the repository's
-materialized views use when their definitions change.
+the view-independent tables (chase, equivalence, decompose) warm --
+the pattern the cached-query manager and the repository's materialized
+views use when their definitions change.
 
 There is one code path.  A one-shot run (a :func:`~repro.rewriting
 .rewriter.rewrite` call without a session) runs on a session of
@@ -221,7 +220,6 @@ class RewriteSession:
 
         # View-independent tables (survive update_views).
         self._chase = table("chase")
-        self._minimize = table("minimize")
         self._equivalence = table("equivalence")
         self._decompose = table("decompose")
         # View-dependent tables (reset on update_views).
@@ -317,20 +315,6 @@ class RewriteSession:
             self._chase.put(probe.key, (query, probe, exc))
             raise
         self._chase.put(probe.key, (query, probe, result))
-        return result
-
-    def minimize(self, query: Query, *, budget=None) -> Query:
-        """Memoized :func:`~repro.rewriting.equivalence.minimize`."""
-        from .equivalence import minimize
-        probe = canonicalize(query)
-        value = self._minimize.get(probe.key)
-        if value is not _MISS:
-            original, stored, result = value
-            if original == query:
-                return result
-            return rebase(result, stored, probe)
-        result = minimize(query, budget=budget)
-        self._minimize.put(probe.key, (query, probe, result))
         return result
 
     def decompose(self, rules: Sequence[Query]):
@@ -508,6 +492,6 @@ class RewriteSession:
     def stats(self) -> dict:
         """Per-table memo statistics (JSON-serializable)."""
         return {table.name: table.stats()
-                for table in (self._chase, self._minimize,
-                              self._equivalence, self._decompose,
-                              self._atoms, self._results)}
+                for table in (self._chase, self._equivalence,
+                              self._decompose, self._atoms,
+                              self._results)}

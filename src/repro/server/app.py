@@ -168,7 +168,6 @@ class ServerConfig:
     recorder: bool = True         # always-on flight recorder
     recorder_capacity: int = DEFAULT_CAPACITY
     slow_ms: float = DEFAULT_SLOW_MS   # tail-capture latency threshold
-    capture_explain: bool = True  # retain EXPLAIN for tail-captured requests
     access_log: str | None = None  # JSONL access log path ("-" -> stderr)
 
 
@@ -681,7 +680,7 @@ class ReproServer:
         explanation: Explanation | None = None
         if request.explain:
             explanation = Explanation()
-        elif self.config.capture_explain and self.recorder.enabled \
+        elif self.recorder.enabled \
                 and (memoized is None or memoized[1] is not None):
             explanation = Explanation()
         ctx.explanation = explanation

@@ -28,6 +28,7 @@ from ..oem.serialize import database_from_json
 from ..rewriting import StructuralConstraints, parse_dtd
 from ..tsl import parse_query, validate
 from ..tsl.ast import Query
+from ..tsl.validate import check_acyclic
 
 #: Bumped when a response payload shape changes incompatibly.
 SERVE_SCHEMA_VERSION = 1
@@ -112,12 +113,16 @@ def parse_query_text(text: str, *, file: str = "query",
     """Parse (and for the target query, validate) one TSL text.
 
     Failures map to HTTP 400 through the shared diagnostic renderer.
-    Views are parsed but not validated, mirroring the CLI's
-    ``--view NAME=FILE`` handling.
+    Views are not validated, mirroring the CLI's ``--view NAME=FILE``
+    handling, except for acyclicity (TSL003): the chase cannot saturate
+    a cyclic view, so it is refused here rather than by the search.
     """
     try:
         query = parse_query(text, name=name)
-        return validate(query) if validated else query
+        if validated:
+            return validate(query)
+        check_acyclic(query)
+        return query
     except TslError as exc:
         raise _tsl_error(exc, text, file) from exc
 

@@ -13,9 +13,13 @@ import pytest
 
 from repro.logic.subst import Substitution
 from repro.logic.terms import Constant
-from repro.oracle import (ORACLES, FuzzConfig, generate_case, run_fuzz,
-                          run_oracle)
+from repro.oem import build_database, obj
+from repro.oracle import (ORACLES, Case, FuzzConfig, SemanticOracle,
+                          generate_case, run_fuzz, run_oracle)
+from repro.rewriting.equivalence import prepare_program
+from repro.tsl import parse_query
 from repro.tsl.ast import Query
+from repro.tsl.decompose import decompose_program
 from repro.tsl.normalize import normalize, path_to_condition, query_paths
 
 # repro.rewriting re-exports `chase` (the function), shadowing the
@@ -28,6 +32,7 @@ signature_mod = importlib.import_module("repro.analysis.viewset.signature")
 index_mod = importlib.import_module("repro.rewriting.index")
 oracles_mod = importlib.import_module("repro.oracle.oracles")
 witness_mod = importlib.import_module("repro.rewriting.witness")
+contained_mod = importlib.import_module("repro.rewriting.contained")
 durable_mod = importlib.import_module("repro.storage.durable")
 cachestore_mod = importlib.import_module("repro.storage.cachestore")
 maintenance_mod = importlib.import_module("repro.storage.maintenance")
@@ -296,6 +301,47 @@ def test_always_yes_step2_witness_is_caught(monkeypatch):
     assert not report.ok
     assert {f.invariant for f in report.failures} \
         == {"witness-unsound-dropped-path"}
+
+
+def _sigmod_titles_case():
+    """All titles of SIGMOD publications, over a view of *all* titles:
+    the only candidate answers more than the query, so a sound
+    contained search returns nothing."""
+    db = build_database("db", [
+        obj("pub", [obj("title", "a"), obj("booktitle", "sigmod")]),
+        obj("pub", [obj("title", "b"), obj("booktitle", "vldb")])])
+    query = parse_query("<f(P) title T> :- <P pub {<X title T>}>@db "
+                        "AND <P pub {<B booktitle sigmod>}>@db")
+    view = parse_query("<v(P,T) t T> :- <P pub {<X title T>}>@db",
+                       name="V")
+    return Case(seed=0, profile="conjunctive", db=db, query=query,
+                views={"V": view})
+
+
+def test_contained_search_without_soundness_test_is_caught(monkeypatch):
+    # Skip only the composition ⊆ query test: the maximality filter and
+    # the equivalence flag still run, so the broader candidate is kept.
+    case = _sigmod_titles_case()
+    assert not run_oracle(SemanticOracle(), case).failures
+    [target] = prepare_program([case.query])
+    target_components = decompose_program(prepare_program([target]))
+    real = contained_mod.components_subsumed
+
+    def unsound(left, right, budget=None):
+        return right == target_components or real(left, right,
+                                                  budget=budget)
+
+    monkeypatch.setattr(contained_mod, "components_subsumed", unsound)
+    result = run_oracle(SemanticOracle(), case)
+    assert {f.invariant for f in result.failures} == {"contained-sound"}
+
+
+def test_semantic_oracle_counts_contained_checks():
+    report = run_fuzz(FuzzConfig(seed=7, iterations=8,
+                                 oracles=("semantic",)))
+    assert report.ok, "\n".join(f.message for f in report.failures)
+    assert 0 < report.counters["semantic.contained"] \
+        < report.checks["semantic"]
 
 
 def test_step2_oracle_counts_witness_hits():

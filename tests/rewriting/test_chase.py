@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ChaseContradictionError
+from repro.errors import ChaseContradictionError, CyclicPatternError
 from repro.rewriting import chase, equivalent
 from repro.tsl import parse_query, print_query, query_paths
 from repro.tsl.ast import SetPattern
@@ -136,3 +136,27 @@ class TestFixpoint:
         chased = chase(q)
         # V unified with 7 through the shared X.
         assert "V" not in {v.name for v in chased.all_variables()}
+
+
+class TestCyclicPatterns:
+    """Union saturation grafts forever on a cycle: the chase refuses it."""
+
+    def test_self_nested_oid_raises_tsl003(self):
+        cyclic = parse_query("<g(X) r Y> :- <X e {<X e Y>}>@db")
+        with pytest.raises(CyclicPatternError) as info:
+            chase(cyclic)
+        assert info.value.code == "TSL003"
+        assert "oid term X" in str(info.value)
+
+    def test_cycle_through_two_paths_raises(self):
+        cyclic = parse_query(
+            "<g(X) r Y> :- <X a {<Z a Y>}>@db AND <Z a {<X a W>}>@db")
+        with pytest.raises(CyclicPatternError):
+            chase(cyclic)
+
+    def test_same_oids_in_other_sources_are_not_a_cycle(self):
+        # Saturation grafts per source, so a parent->child pair that
+        # only closes a loop across sources terminates.
+        query = parse_query(
+            "<g(X) r Y> :- <X a {<Z a Y>}>@db AND <Z a {<X a W>}>@V")
+        assert chase(query).body

@@ -1,10 +1,17 @@
 """Tests for maximally contained rewritings (Section 7 future work)."""
 
+import time
+
 import pytest
 
+from repro.errors import CyclicPatternError
+from repro.obs import Budget
 from repro.oem import build_database, obj
-from repro.rewriting import (contained_in, maximally_contained_rewritings,
-                             programs_contained, rewrite)
+from repro.oracle import PROFILES, generate_case
+from repro.rewriting import (RewriteSession, contained_in,
+                             maximally_contained_rewritings, minimize,
+                             prepare_program, programs_contained, rewrite)
+from repro.rewriting.rewriter import RewriteResult, _test_candidate
 from repro.tsl import evaluate, parse_query
 
 
@@ -106,3 +113,64 @@ class TestMaximallyContained:
         result = maximally_contained_rewritings(
             all_titles_query, {"V": view})
         assert len(result.rewritings) == 0
+
+    def test_compositions_are_chased_not_minimized(self, sigmod_view,
+                                                   all_titles_query):
+        # Like Rewriting.composition: each rule chased once, kept whole
+        # (one view-body copy per resolution goal).
+        [best] = maximally_contained_rewritings(
+            all_titles_query, {"V": sigmod_view}).rewritings
+        session = RewriteSession({"V": sigmod_view}, memo_size=0)
+        assert best.composition == prepare_program(best.composition,
+                                                   session=session)
+        assert all(len(minimize(rule).body) < len(rule.body)
+                   for rule in best.composition)
+
+
+#: A view whose partial instantiation ``O1 = O6`` nests an oid under
+#: itself in the composition (generator case dag/7).
+CYCLE_VIEW = ("<xrow(L4,O1,O6,V2,V5) row ok> :- "
+              "<O1 e V2>@db AND <O6 e {<O1 L4 V5>}>@db")
+CYCLE_QUERY = ("<ans(O1) result {<out(O1) item V5>}> :- "
+               "<O1 e V2>@db AND <O6 e {<O1 L4 V5>}>@db")
+
+
+class TestCyclicCompositions:
+    @pytest.mark.parametrize("seed", [7, 19])
+    def test_dag_cases_return_within_the_deadline(self, seed):
+        case = generate_case(seed, PROFILES["dag"])
+        deadline_ms = 1000
+        started = time.monotonic()
+        outcome = maximally_contained_rewritings(
+            case.query, case.views, case.constraints,
+            budget=Budget(deadline_ms=deadline_ms))
+        assert (time.monotonic() - started) * 1e3 < 1.5 * deadline_ms
+        assert any(r.is_equivalent for r in outcome)
+
+    def test_cyclic_composition_rejects_the_candidate(self):
+        # Both searches reject the whole candidate: dropping only the
+        # cyclic rule could leave a smaller, wrongly contained union.
+        session = RewriteSession(
+            {"V": parse_query(CYCLE_VIEW, name="V")}, memo_size=0)
+        [target] = prepare_program([parse_query(CYCLE_QUERY)],
+                                   session=session)
+        candidate = parse_query(
+            "<ans(O1) result {<out(O1) item V5>}> :- "
+            "<xrow(e,U,U,V2,V5) row ok>@V")
+        result = RewriteResult()
+        accepted, verdict, reason, _ = _test_candidate(
+            candidate, target, result, session)
+        assert accepted is None
+        assert verdict == "failed-composition"
+        assert "cycle" in reason
+        assert result.stats.candidates_failed_composition == 1
+
+    def test_cyclic_view_raises_promptly(self):
+        query = parse_query("<f(X) r Y> :- <X e Y>@db")
+        view = parse_query("<g(X) r Y> :- <X e {<X e Y>}>@db", name="V")
+        for search in (rewrite, maximally_contained_rewritings):
+            started = time.monotonic()
+            with pytest.raises(CyclicPatternError):
+                search(query, {"V": view},
+                       budget=Budget(deadline_ms=500))
+            assert time.monotonic() - started < 5

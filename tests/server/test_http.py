@@ -9,6 +9,7 @@ approximations.
 """
 
 import threading
+import time
 
 import pytest
 
@@ -181,6 +182,25 @@ class TestErrorModel:
             rewrite_body(views={"V1": "<xrow(X) row ok> :- garbage("}))
         assert status == 400
         assert body["error"]["diagnostics"][0]["file"] == "view:V1"
+
+    def test_cyclic_view_is_a_prompt_400_naming_the_view(self):
+        # The chase cannot saturate a cyclic view: it is refused at
+        # decode, and the worker that would have searched stays free.
+        with running_server(ServerConfig(port=0, workers=1)) as solo:
+            started = time.monotonic()
+            status, body = solo.post("/rewrite", {
+                "query": "<f(X) r Y> :- <X e Y>@db",
+                "views": {"VC": "<g(X) r Y> :- <X e {<X e Y>}>@db"},
+                "budget_ms": 500})
+            assert time.monotonic() - started < 5
+            assert status == 400
+            [diagnostic] = body["error"]["diagnostics"]
+            assert diagnostic["code"] == "TSL003"
+            assert diagnostic["file"] == "view:VC"
+            assert "view:VC" in body["error"]["message"]
+            status, body = solo.post("/rewrite", rewrite_body())
+            assert status == 200
+            assert body["rewritings"]
 
     def test_missing_fields_are_400(self, srv):
         assert srv.post("/rewrite", {"views": {}})[0] == 400
