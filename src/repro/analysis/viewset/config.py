@@ -25,7 +25,9 @@ still render.
 
 Structural problems raise :class:`~repro.errors.ConfigError`; TSL syntax
 errors inside an individual view become ``TSL000`` diagnostics instead,
-so one broken view does not hide the rest of the report.
+and a view whose body pattern is cyclic a ``TSL003`` one (the rewriter
+could not chase it), so one broken view does not hide the rest of the
+report.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from ...mediator.capabilities import CapabilityView, parameters_of
 from ...rewriting.constraints import Dtd, parse_dtd
 from ...tsl.ast import Query
 from ...tsl.parser import parse_query
+from ...tsl.validate import check_acyclic
 from ..diagnostics import Diagnostic, Severity
 
 #: Diagnostic code for syntax errors (mirrors repro.cli.SYNTAX_CODE,
@@ -152,7 +155,9 @@ def load_config(path: str) -> MediatorConfig:
                                         base, path)
         config.texts[attribution] = text
         try:
-            config.views[name] = parse_query(text, name=name)
+            view = parse_query(text, name=name)
+            check_acyclic(view)
+            config.views[name] = view
             config.view_files[name] = attribution
         except TslError as exc:
             config.diagnostics.append(

@@ -90,6 +90,7 @@ from .oem.serialize import dumps, loads
 from .rewriting import (Explanation, RewriteSession,
                         maximally_contained_rewritings, parse_dtd)
 from .tsl import evaluate, parse_query, print_query, validate
+from .tsl.validate import check_acyclic
 from .xmlbridge import dtd_from_document, xml_to_oem
 
 #: Diagnostic code under which syntax errors appear in lint reports.
@@ -165,7 +166,9 @@ def _parse_view_spec(spec: str):
     name, path = _split_view_spec(spec)
     text = _read(path)
     try:
-        return name, parse_query(text, name=name)
+        view = parse_query(text, name=name)
+        check_acyclic(view)
+        return name, view
     except TslError as exc:
         raise RenderedError(_render_tsl_error(exc, text, path)) from exc
 

@@ -117,7 +117,8 @@ from ..rewriting.explain import Explanation
 from ..rewriting.mappings import body_mappings, find_mappings
 from ..rewriting.rewriter import (CandidateAtom, RewriteStats,
                                   _merge_duplicate_atoms,
-                                  prepared_composition, rewrite)
+                                  prepared_composition, rewrite,
+                                  view_instantiations)
 from ..rewriting.session import RewriteSession
 from ..rewriting.witness import Step2Target, Step2Witness
 from ..storage import CacheStore, DurableStore, SessionRegistry, StorageLayout
@@ -1080,7 +1081,9 @@ class Step2Oracle:
         step2 = Step2Target(prepare_program([target],
                                             session=session)[0])
         paths = step2.paths
-        atoms = session.candidate_atoms(target) + [
+        atoms = view_instantiations(
+            target, session.views, session=session,
+            signature_index=session.signature_index()) + [
             CandidateAtom(path_to_condition(path), frozenset([i]), None)
             for i, path in enumerate(paths)]
         atoms = _merge_duplicate_atoms(atoms, RewriteStats())

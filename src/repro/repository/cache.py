@@ -125,7 +125,7 @@ class QueryCache:
         """The rewrite session over the current statements (lazy).
 
         Entry churn (insert of a *new* statement, eviction, purge)
-        resets the view-dependent memo tables via
+        resets the view-dependent result memo via
         :meth:`RewriteSession.update_views`; refreshing an existing
         statement's answer keeps the session fully warm, because
         rewriting only reads statements, never answers.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence, Union
 
 from ..errors import (BudgetExceededError, ChaseContradictionError,
@@ -28,6 +28,7 @@ from ..errors import (BudgetExceededError, ChaseContradictionError,
 from ..logic.subst import Substitution
 from ..obs import NULL_TRACER
 from ..tsl.ast import Condition, Query, fresh_variable_factory
+from ..tsl.decompose import decompose_program
 from ..tsl.normalize import path_to_condition, query_paths
 from ..tsl.validate import is_safe
 from .chase import StructuralConstraints
@@ -43,7 +44,7 @@ def programs_contained(left: Iterable[Query], right: Iterable[Query],
     """Decide ``left ⊆ right`` (results contained on every database)."""
     session = RewriteSession((), constraints, memo_size=0)
     return components_subsumed(*(
-        session.decompose(prepare_program(rules, session=session))
+        decompose_program(prepare_program(rules, session=session))
         for rules in (left, right)))
 
 
@@ -60,9 +61,9 @@ def partial_view_instantiations(target: Query, session: RewriteSession, *,
     Unlike the equivalence case (Lemma 5.1), a view is relevant whenever
     any non-empty *subset* of its body maps into the query body -- the
     unmapped conditions only narrow the composition, which containment
-    tolerates.  Unmapped view variables are renamed fresh so they cannot
-    accidentally join with the query's variables.  Views come prepared
-    from *session*.
+    tolerates.  Unmapped view variables are renamed fresh, in order of
+    first occurrence, so they cannot accidentally join with the query's
+    variables.  Views come prepared from *session*.
     """
     atoms: list[CandidateAtom] = []
     seen: set[Condition] = set()
@@ -70,6 +71,11 @@ def partial_view_instantiations(target: Query, session: RewriteSession, *,
     fresh = fresh_variable_factory(taken, stem="U")
     for name in sorted(session.views):
         view = session.prepared_view(name, budget=budget)
+        # First-occurrence order (head, then body), not set order: the
+        # fresh names must not depend on the interpreter's hash seed.
+        variables = dict.fromkeys(chain(
+            view.head.variables(),
+            *(condition.variables() for condition in view.body)))
         view_paths = query_paths(view)
         indices = range(len(view_paths))
         for size in range(1, len(view_paths) + 1):
@@ -78,8 +84,7 @@ def partial_view_instantiations(target: Query, session: RewriteSession, *,
                 for subst in body_mappings(chosen, query_paths(target),
                                            budget=budget):
                     unmapped = {
-                        v: fresh() for v in view.all_variables()
-                        if v not in subst}
+                        v: fresh() for v in variables if v not in subst}
                     full = subst.compose(Substitution(unmapped))
                     condition = Condition(view.head.substitute(full), name)
                     if condition not in seen:
@@ -168,7 +173,7 @@ def _contained_search(query: Query, session: RewriteSession,
         return  # contradictory query: the empty answer is maximal
     target = prepared[0]
     target_paths = query_paths(target)
-    target_components = session.decompose(prepare_program(
+    target_components = decompose_program(prepare_program(
         [target], budget=budget, session=session))
     k = len(target_paths)
 
@@ -203,7 +208,7 @@ def _contained_search(query: Query, session: RewriteSession,
                     continue
                 if not composed:
                     continue  # empty composition: contributes nothing
-                components = session.decompose(composed)
+                components = decompose_program(composed)
                 if not components_subsumed(components, target_components,
                                            budget=budget):
                     continue

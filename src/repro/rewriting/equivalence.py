@@ -21,7 +21,7 @@ from ..errors import ChaseContradictionError
 from ..logic.subst import Substitution
 from ..obs import NULL_TRACER
 from ..tsl.ast import Query
-from ..tsl.decompose import ComponentQuery
+from ..tsl.decompose import ComponentQuery, decompose_program
 from ..tsl.normalize import normalize, path_to_condition, query_paths
 from .chase import StructuralConstraints
 from .mappings import body_mappings, component_mapping, coverage
@@ -84,11 +84,8 @@ def programs_equivalent(left: Iterable[Query], right: Iterable[Query],
                         witness=None) -> bool:
     """Theorem 4.3: decompose both unions and test mutual mappings.
 
-    *session* memoizes the sub-steps (chase, decomposition) under its
-    own constraints (a one-shot session over *constraints* when None);
-    the verdict itself is memoized by
-    :meth:`~repro.rewriting.session.RewriteSession.programs_equivalent`,
-    which delegates here on a miss.  *left_components* /
+    *session* memoizes the chase under its own constraints (a one-shot
+    session over *constraints* when None).  *left_components* /
     *right_components*, when given, must be the prepared + decomposed
     form of *left* / *right* under the same constraints; the rewriter
     hands over each composition it has already chased, and precomputes
@@ -105,10 +102,10 @@ def programs_equivalent(left: Iterable[Query], right: Iterable[Query],
     session = _session_for(constraints, session)
     with tracer.span("equivalence") as span:
         if left_components is None:
-            left_components = session.decompose(prepare_program(
+            left_components = decompose_program(prepare_program(
                 left, budget=budget, session=session))
         if right_components is None:
-            right_components = session.decompose(prepare_program(
+            right_components = decompose_program(prepare_program(
                 right, budget=budget, session=session))
         span.add("components",
                  len(left_components) + len(right_components))
@@ -145,9 +142,9 @@ def equivalence_obstacle(left: Iterable[Query], right: Iterable[Query],
     and *constraints* are as for :func:`programs_equivalent`.
     """
     session = _session_for(constraints, session)
-    left_components = session.decompose(prepare_program(
+    left_components = decompose_program(prepare_program(
         left, budget=budget, session=session))
-    right_components = session.decompose(prepare_program(
+    right_components = decompose_program(prepare_program(
         right, budget=budget, session=session))
     for side, components, others in (
             ("left", left_components, right_components),

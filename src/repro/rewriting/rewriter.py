@@ -36,12 +36,13 @@ from ..logic.subst import Substitution
 from ..obs import NULL_TRACER, Tracer
 from ..obs.metrics import PHASE_SECONDS
 from ..tsl.ast import Condition, Query
+from ..tsl.decompose import decompose_program
 from ..tsl.normalize import path_to_condition, query_paths
 from ..tsl.validate import is_safe
-from .canon import program_key
 from .chase import StructuralConstraints
 from .composition import compose
-from .equivalence import equivalence_obstacle, minimize, prepare_program
+from .equivalence import (equivalence_obstacle, minimize, prepare_program,
+                          programs_equivalent)
 from .index import IndexStats, PathIndex
 from .mappings import Mapping as ContainmentMapping
 from .mappings import find_mappings, mapping_obstacle
@@ -375,14 +376,17 @@ def _search(query: Query, flags: tuple, result: RewriteResult,
     # candidates (batched equivalence).  Computed exactly the way
     # programs_equivalent would, so the shared components are
     # byte-identical to the per-candidate ones they replace.
-    target_key = program_key([target])
     target_rules = prepare_program([target], budget=budget,
                                    session=session)
-    target_components = session.decompose(target_rules)
+    target_components = decompose_program(target_rules)
     step2 = Step2Target(target_rules[0])
 
-    atoms = session.candidate_atoms(target, tracer=tracer, budget=budget,
-                                    stats=result.stats, explain=explain)
+    atoms = view_instantiations(
+        target, session.views, tracer=tracer, budget=budget,
+        session=session,
+        signature_index=session.signature_index(tracer=tracer,
+                                                budget=budget),
+        explain=explain, stats=result.stats)
     result.stats.mappings = len(atoms)
     if not total_only:
         atoms.extend(
@@ -457,7 +461,7 @@ def _search(query: Query, flags: tuple, result: RewriteResult,
                              conditions=len(body)) as span:
                 accepted, verdict, reason, detail = _test_candidate(
                     candidate, target, result, session, tracer, budget,
-                    explain is not None, target_key=target_key,
+                    explain is not None,
                     target_components=target_components,
                     step2=step2, atoms=chosen)
                 span.set("accepted", accepted is not None)
@@ -528,7 +532,6 @@ def _test_candidate(candidate: Query, target: Query,
                     result: RewriteResult, session: RewriteSession,
                     tracer=NULL_TRACER, budget=None,
                     explain_active: bool = False, *,
-                    target_key: str | None = None,
                     target_components=None,
                     step2: Step2Target | None = None,
                     atoms: Sequence[CandidateAtom] = ()
@@ -539,10 +542,10 @@ def _test_candidate(candidate: Query, target: Query,
     Returns ``(rewriting_or_None, verdict, reason, detail)``.  The
     verdict/reason strings are cheap to produce; the expensive
     equivalence-failure diagnosis (which graph component has no mapping)
-    only runs when *explain_active*.  *target_key* /
-    *target_components* / *step2* are ``_search``'s once-per-run
-    precomputation of the right side of the Step 2 test; with *step2*
-    and the Step 1A *atoms* the candidate was built from, the
+    only runs when *explain_active*.  *target_components* / *step2*
+    are ``_search``'s once-per-run precomputation of the right side of
+    the Step 2 test; with *step2* and the Step 1A *atoms* the candidate
+    was built from, the
     query ⊆ composition half is checked from a witness
     (:mod:`repro.rewriting.witness`) before it is searched.  Each
     composition rule is chased once, and the accepted rewriting keeps
@@ -562,9 +565,9 @@ def _test_candidate(candidate: Query, target: Query,
         result.stats.candidates_failed_composition += 1
         return None, "failed-composition", str(exc), None
     result.stats.composition_rules += len(rules)
-    if not session.programs_equivalent(
-            rules, [target], tracer=tracer, budget=budget,
-            right_key=target_key, left_components=session.decompose(rules),
+    if not programs_equivalent(
+            rules, [target], tracer=tracer, budget=budget, session=session,
+            left_components=decompose_program(rules),
             right_components=target_components, witness=witness):
         reason, detail = _equivalence_failure_reason(
             rules, target, session, budget, explain_active)

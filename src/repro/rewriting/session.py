@@ -8,25 +8,29 @@ every view and re-runs the full exponential search on every call; a
 
 * **prepared views** -- each view is chased + normalized once per
   session and reused by every ``rewrite()`` call;
-* **memo tables** -- bounded (LRU) caches, keyed on the canonical
-  hashes of :mod:`~repro.rewriting.canon`, for ``chase()``,
-  ``decompose_program()``, ``programs_equivalent()`` verdict pairs,
-  candidate-atom enumeration, and whole ``rewrite()`` results.
+* **memo tables** -- two bounded (LRU) caches, keyed on the canonical
+  hashes of :mod:`~repro.rewriting.canon`: ``chase`` (every ``chase()``
+  the pipeline runs: queries, candidates and composition rules) and
+  ``rewrite`` (whole ``rewrite()`` results).  The per-phase work in
+  between (Step 1A, decomposition, the Step 2 verdict) is recomputed on
+  every search: the ``rewrite`` table answers exact repeats before it
+  would be reached, and requests that differ by one constant never
+  share a key.
 
 Memo keys are canonical, so queries differing only in variable spelling
 or conjunct order share a slot; a hit is served directly when the
 stored query is structurally identical to the probe and *rebased*
 (renamed into the probe's variable space) for the chase table
 otherwise.  Truncated (budget-stopped) results are never
-memoized.  Every table exports ``cache.{hits,misses,evictions}``
+memoized.  Both tables export ``cache.{hits,misses,evictions}``
 counters -- aggregate and per-table -- through a
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
 A session is bound to one ``(views, constraints)`` pair;
 :meth:`RewriteSession.update_views` swaps the view set while keeping
-the view-independent tables (chase, equivalence, decompose) warm --
-the pattern the cached-query manager and the repository's materialized
-views use when their definitions change.
+the view-independent ``chase`` table warm -- the pattern the
+cached-query manager and the repository's materialized views use when
+their definitions change.
 
 There is one code path.  A one-shot run (a :func:`~repro.rewriting
 .rewriter.rewrite` call without a session) runs on a session of
@@ -58,7 +62,7 @@ from typing import Mapping, Sequence, Union
 from ..errors import ChaseContradictionError, RewritingError
 from ..obs.metrics import PHASE_SECONDS
 from ..tsl.ast import Query
-from .canon import canonicalize, program_key, rebase
+from .canon import canonicalize, rebase
 from .chase import StructuralConstraints, chase
 
 #: Default per-table memo capacity.
@@ -218,24 +222,20 @@ class RewriteSession:
         def table(name: str) -> MemoTable:
             return MemoTable(name, memo_size, metrics)
 
-        # View-independent tables (survive update_views).
+        # View-independent (survives update_views).
         self._chase = table("chase")
-        self._equivalence = table("equivalence")
-        self._decompose = table("decompose")
-        # View-dependent tables (reset on update_views).
-        self._atoms = table("atoms")
+        # View-dependent (reset on update_views).
         self._results = table("rewrite")
 
     # -- view-set lifecycle --------------------------------------------------
 
     def update_views(self, views: Union[Mapping[str, Query],
                                         Sequence[Query]]) -> None:
-        """Swap the view set; keeps the view-independent memos warm."""
+        """Swap the view set; keeps the chase memo warm."""
         with self._lock:
             self.views = _as_view_dict(views)
             self._prepared_views.clear()
             self._signature_index = None
-            self._atoms.clear()
             self._results.clear()
 
     def prepared_view(self, name: str, *, tracer=None,
@@ -290,7 +290,7 @@ class RewriteSession:
                 index = self._signature_index
         return index
 
-    # -- memoized pipeline stages --------------------------------------------
+    # -- the chase memo ------------------------------------------------------
 
     def chase(self, query: Query, *, tracer=None, budget=None) -> Query:
         """Memoized :func:`~repro.rewriting.chase.chase`.
@@ -317,106 +317,7 @@ class RewriteSession:
         self._chase.put(probe.key, (query, probe, result))
         return result
 
-    def decompose(self, rules: Sequence[Query]):
-        """Memoized :func:`~repro.tsl.decompose.decompose_program`.
-
-        Keyed on the exact rules (components carry the rules'
-        variables, so only structurally identical programs share).
-        """
-        from ..tsl.decompose import decompose_program
-        key = tuple(rules)
-        value = self._decompose.get(key)
-        if value is not _MISS:
-            return value
-        components = decompose_program(rules)
-        self._decompose.put(key, components)
-        return components
-
-    def programs_equivalent(self, left: Sequence[Query],
-                            right: Sequence[Query], *,
-                            tracer=None, budget=None,
-                            right_key: str | None = None,
-                            left_components=None, right_components=None,
-                            witness=None) -> bool:
-        """Memoized equivalence verdict (symmetric, canonical-keyed).
-
-        Batching support: when one *right* side is tested against many
-        candidates (the rewriter's Step 2), pass its precomputed
-        *right_key* (``program_key(right)``) and *right_components*
-        (prepared + decomposed) so neither is redone per candidate.
-        Both must describe exactly *right* under this session's
-        constraints.  *left_components* and *witness* pass through to
-        :func:`~repro.rewriting.equivalence.programs_equivalent` on a
-        miss.
-        """
-        from .equivalence import programs_equivalent
-        left = list(left)
-        right = list(right)
-        left_key = program_key(left)
-        if right_key is None:
-            right_key = program_key(right)
-        key = (left_key, right_key)
-        value = self._equivalence.get(key)
-        if value is _MISS:
-            # Equivalence is symmetric; probe the mirrored pair too
-            # (counted against the same table).
-            value = self._equivalence.get((right_key, left_key))
-        if value is not _MISS:
-            return value
-        verdict = programs_equivalent(left, right, tracer=tracer,
-                                      budget=budget, session=self,
-                                      left_components=left_components,
-                                      right_components=right_components,
-                                      witness=witness)
-        self._equivalence.put(key, verdict)
-        return verdict
-
-    # -- candidate atoms and whole-result memoization ------------------------
-
-    def candidate_atoms(self, target: Query, *, tracer=None, budget=None,
-                        stats=None, explain=None):
-        """Memoized Step 1A over the prepared views.
-
-        Views the :meth:`signature_index` proves irrelevant are skipped.
-        ``covers`` indices are positions in the target's path list, so a
-        hit is only served for a structurally identical target; it
-        replays the pruned/hit/skip counts stored with the entry onto
-        *stats*.  A run with an *explain* log bypasses the memo, since
-        the log needs the per-mapping events.
-        """
-        from .rewriter import RewriteStats, view_instantiations
-        index = self.signature_index(tracer=tracer, budget=budget)
-        if explain is not None:
-            return view_instantiations(target, self.views,
-                                       self.constraints, tracer=tracer,
-                                       budget=budget, session=self,
-                                       explain=explain,
-                                       signature_index=index, stats=stats)
-        key = canonicalize(target).key
-        value = self._atoms.peek(key)
-        if value is not _MISS:
-            stored, atoms, pruned, hits, skips = value
-            if stored == target:
-                self._atoms.record_hit()
-                if stats is not None:
-                    stats.views_pruned_signature += pruned
-                    stats.index_hits += hits
-                    stats.index_skips += skips
-                return list(atoms)
-        self._atoms.record_miss()
-        counter = RewriteStats()
-        atoms = view_instantiations(target, self.views, self.constraints,
-                                    tracer=tracer, budget=budget,
-                                    session=self, signature_index=index,
-                                    stats=counter)
-        if stats is not None:
-            stats.views_pruned_signature += counter.views_pruned_signature
-            stats.index_hits += counter.index_hits
-            stats.index_skips += counter.index_skips
-        self._atoms.put(key, (target, tuple(atoms),
-                              counter.views_pruned_signature,
-                              counter.index_hits, counter.index_skips))
-        return atoms
+    # -- whole-result memoization --------------------------------------------
 
     def rewrite(self, query: Query, **kwargs):
         """Memoized :func:`~repro.rewriting.rewriter.rewrite`.
@@ -492,6 +393,4 @@ class RewriteSession:
     def stats(self) -> dict:
         """Per-table memo statistics (JSON-serializable)."""
         return {table.name: table.stats()
-                for table in (self._chase, self._equivalence,
-                              self._decompose, self._atoms,
-                              self._results)}
+                for table in (self._chase, self._results)}

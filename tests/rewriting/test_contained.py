@@ -1,6 +1,10 @@
 """Tests for maximally contained rewritings (Section 7 future work)."""
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +178,31 @@ class TestCyclicCompositions:
                 search(query, {"V": view},
                        budget=Budget(deadline_ms=500))
             assert time.monotonic() - started < 5
+
+
+#: Prints the contained rewritings of generator case conjunctive/1, whose
+#: view has three variables the query does not bind.
+HASH_SEED_SCRIPT = """
+from repro.oracle import PROFILES, generate_case
+from repro.rewriting import maximally_contained_rewritings
+case = generate_case(1, PROFILES["conjunctive"])
+for rewriting in maximally_contained_rewritings(
+        case.query, case.views, case.constraints):
+    print(rewriting)
+"""
+
+
+class TestDeterminism:
+    def test_fresh_names_do_not_depend_on_the_hash_seed(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120, check=True)
+            outputs.append(proc.stdout)
+        assert "U_1" in outputs[0]
+        assert outputs[0] == outputs[1]

@@ -20,7 +20,7 @@ from repro.rewriting import (DEFAULT_MEMO_SIZE, PathIndex, RewriteSession,
                              most_constrained_order, paper_dtd,
                              programs_equivalent, rewrite,
                              statically_compatible)
-from repro.rewriting.canon import program_key, query_key
+from repro.rewriting.canon import query_key
 from repro.rewriting.chase import chase
 from repro.rewriting.constraints import ChildSpec, Dtd
 from repro.rewriting.equivalence import prepare_program
@@ -430,6 +430,15 @@ class TestFlagAndMetrics:
         assert counters["rewrite.index.hits"] == result.stats.index_hits
         assert counters["rewrite.index.skips"] == result.stats.index_skips
         assert result.stats.index_hits > 0
+        # The search's counts are its Step 1A's over the session.
+        from repro.rewriting import view_instantiations
+        step1a = RewriteStats()
+        view_instantiations(chase(k_conditions_query(2), None),
+                            session.views, session=session,
+                            signature_index=session.signature_index(),
+                            stats=step1a)
+        assert (step1a.index_hits, step1a.index_skips) == \
+            (result.stats.index_hits, result.stats.index_skips)
 
     def test_index_skips_on_label_disjoint_views(self):
         # condition_view(9) matches none of q's labels: without a
@@ -442,13 +451,3 @@ class TestFlagAndMetrics:
                             stats=stats)
         assert stats.index_skips > 0
 
-    def test_atoms_memo_replays_index_counts(self):
-        session = RewriteSession(self.views())
-        target = chase(k_conditions_query(2), None)
-        cold_stats = RewriteStats()
-        cold = session.candidate_atoms(target, stats=cold_stats)
-        warm_stats = RewriteStats()
-        warm = session.candidate_atoms(target, stats=warm_stats)
-        assert warm == cold
-        assert (warm_stats.index_hits, warm_stats.index_skips) == \
-            (cold_stats.index_hits, cold_stats.index_skips)

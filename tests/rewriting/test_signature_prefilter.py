@@ -87,16 +87,16 @@ class TestSessionPlumbing:
         assert rebuilt is not index
         assert len(rebuilt) == 1
 
-    def test_atoms_memo_replays_the_pruned_count(self):
+    def test_session_index_prunes_step_1a(self):
+        from repro.rewriting.rewriter import view_instantiations
         session = RewriteSession(mixed_views(live=2, dead=5))
-        target = chase(k_conditions_query(2), None)
-        cold_stats = RewriteStats()
-        cold = session.candidate_atoms(target, stats=cold_stats)
-        warm_stats = RewriteStats()
-        warm = session.candidate_atoms(target, stats=warm_stats)
-        assert warm == cold
-        assert cold_stats.views_pruned_signature == 5
-        assert warm_stats.views_pruned_signature == 5
+        stats = RewriteStats()
+        atoms = view_instantiations(
+            chase(k_conditions_query(2), None), session.views,
+            session=session, signature_index=session.signature_index(),
+            stats=stats)
+        assert stats.views_pruned_signature == 5
+        assert {a.view for a in atoms} == {"V1", "V2"}
 
     def test_disabled_session_still_prunes(self):
         query = k_conditions_query(2)

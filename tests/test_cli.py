@@ -107,6 +107,40 @@ class TestRewrite:
                      "--dtd", str(dtd)]) == 0
 
 
+
+#: A view whose body pattern nests oid X under itself.
+CYCLIC_VIEW = "<g(X) r Y> :- <X e {<X e Y>}>@db"
+
+
+class TestCyclicViews:
+    """A cyclic view gets the TSL003 diagnostic, with its file and a
+    caret, rather than the chase's bare error."""
+
+    @pytest.fixture
+    def cyclic_view(self, tmp_path):
+        path = tmp_path / "cyc.tsl"
+        path.write_text(CYCLIC_VIEW)
+        return path
+
+    @staticmethod
+    def assert_rendered(err, path):
+        assert f"{path}:1:21: error:" in err
+        assert "[TSL003]" in err
+        assert "^^^^^^^" in err
+
+    def test_rewrite_view(self, tmp_path, cyclic_view, capsys):
+        query = tmp_path / "q.tsl"
+        query.write_text("<f(X) r Y> :- <X e Y>@db")
+        assert main(["rewrite", str(query), "--view",
+                     f"V={cyclic_view}"]) == 2
+        self.assert_rendered(capsys.readouterr().err, cyclic_view)
+
+    def test_check_views(self, tmp_path, cyclic_view, capsys):
+        config = tmp_path / "mediator.json"
+        config.write_text(json.dumps({"views": {"cyc": "cyc.tsl"}}))
+        assert main(["check-views", str(config)]) == 2
+        self.assert_rendered(capsys.readouterr().out, "cyc.tsl")
+
 class TestRewriteObservability:
     def test_json_format(self, query_file, view_file, capsys):
         assert main(["rewrite", query_file, "--view", f"V={view_file}",
