@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 
 from repro.obs import METRICS
-from repro.rewriting import Explanation, paper_dtd, rewrite
+from repro.rewriting import Explanation, RewriteSession, paper_dtd, rewrite
 from repro.rewriting.canon import query_key
 from repro.workloads import (condition_view, k_conditions_query, query_q3,
                              query_q5, query_q7, view_v1)
@@ -80,18 +80,20 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
 def measure_overhead(repeats: int = OVERHEAD_REPEATS) -> dict:
     """Opt-in instrumentation cost: plain vs explain+metrics rewrite.
 
-    The plain run uses the library defaults (``explain=None``,
-    ``metrics=None``); the instrumented run attaches a fresh
-    :class:`~repro.rewriting.Explanation` per call and feeds the
-    process-wide :data:`~repro.obs.METRICS` registry (so a recorded
+    The plain run uses the library defaults (``explain=None``, a
+    one-shot session without metrics); the instrumented run attaches a
+    fresh :class:`~repro.rewriting.Explanation` per call and runs on a
+    ``memo_size=0`` session feeding the process-wide
+    :data:`~repro.obs.METRICS` registry (so a recorded
     snapshot carries the phase histograms this produces).  Asserts the
     default path is within noise of the instrumented one -- the
     "observability is opt-in" contract.
     """
     plain_s, result = _best_of(rewrite_q3, repeats)
     instrumented_s, _ = _best_of(
-        lambda: rewrite(query_q3(), {"V1": view_v1()},
-                        metrics=METRICS, explain=Explanation()),
+        lambda: RewriteSession({"V1": view_v1()}, memo_size=0,
+                               metrics=METRICS).rewrite(
+            query_q3(), explain=Explanation()),
         repeats)
     assert plain_s <= instrumented_s * OVERHEAD_TOLERANCE \
         + OVERHEAD_SLACK_SECONDS, (

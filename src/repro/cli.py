@@ -301,8 +301,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     for target in workload:
         # Two passes per query: the second feeds the memo_lookup
         # histogram with a hit.
-        session.rewrite(target, metrics=registry)
-        session.rewrite(target, metrics=registry)
+        session.rewrite(target)
+        session.rewrite(target)
     if args.format == "json":
         print(json_module.dumps(registry.snapshot(), indent=2))
     else:

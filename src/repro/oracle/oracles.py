@@ -115,10 +115,7 @@ from ..rewriting.equivalence import (components_subsumed, equivalent,
                                      minimize, prepare_program)
 from ..rewriting.explain import Explanation
 from ..rewriting.mappings import body_mappings, find_mappings
-from ..rewriting.rewriter import (CandidateAtom, RewriteStats,
-                                  _merge_duplicate_atoms,
-                                  prepared_composition, rewrite,
-                                  view_instantiations)
+from ..rewriting.rewriter import _Search, rewrite
 from ..rewriting.session import RewriteSession
 from ..rewriting.witness import Step2Target, Step2Witness
 from ..storage import CacheStore, DurableStore, SessionRegistry, StorageLayout
@@ -1072,21 +1069,12 @@ class Step2Oracle:
 
     def check(self, case: Case) -> OracleResult:
         result = OracleResult()
-        session = RewriteSession(case.views, case.constraints,
-                                 memo_size=0)
-        prepared = prepare_program([case.query], session=session)
-        if not prepared:
+        search = _Search(RewriteSession(case.views, case.constraints,
+                                        memo_size=0))
+        if not search.prepare(case.query):
             return result  # contradictory body: no Step 2 to check
-        target = prepared[0]
-        step2 = Step2Target(prepare_program([target],
-                                            session=session)[0])
-        paths = step2.paths
-        atoms = view_instantiations(
-            target, session.views, session=session,
-            signature_index=session.signature_index()) + [
-            CandidateAtom(path_to_condition(path), frozenset([i]), None)
-            for i, path in enumerate(paths)]
-        atoms = _merge_duplicate_atoms(atoms, RewriteStats())
+        target, paths = search.target, search.paths
+        atoms = search.atoms()
         every = frozenset(range(len(paths)))
         for heuristic in (True, False):
             tested = 0
@@ -1104,23 +1092,21 @@ class Step2Oracle:
                     if not is_safe(candidate):
                         continue
                     tested += 1
-                    self._compare(session, step2, candidate, chosen,
-                                  tested, result)
+                    self._compare(search, candidate, chosen, tested,
+                                  result)
         return result
 
-    def _compare(self, session: RewriteSession, step2: Step2Target,
-                 candidate: Query, chosen, index: int,
-                 result: OracleResult) -> None:
+    def _compare(self, search: _Search, candidate: Query, chosen,
+                 index: int, result: OracleResult) -> None:
+        step2 = search.step2
         try:
-            candidate = session.chase(candidate)
-            rules, witness = prepared_composition(candidate, session,
-                                                  step2, chosen)
+            candidate = search.session.chase(candidate)
+            rules, witness = search.composition(candidate, chosen)
         except (ChaseContradictionError, CompositionError,
                 CyclicPatternError):
             return
         composition = decompose_program(rules)
-        full = components_subsumed(decompose_program([step2.rule]),
-                                   composition)
+        full = components_subsumed(search.components, composition)
         hit = witness.holds()
         result.counters["hits" if hit else "fallbacks"] += 1
         self._agree(result, "candidate", hit, full, candidate)

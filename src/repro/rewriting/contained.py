@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Sequence, Union
 from ..errors import (BudgetExceededError, ChaseContradictionError,
                       CompositionError, CyclicPatternError)
 from ..logic.subst import Substitution
-from ..obs import NULL_TRACER
 from ..tsl.ast import Condition, Query, fresh_variable_factory
 from ..tsl.decompose import decompose_program
 from ..tsl.normalize import path_to_condition, query_paths
@@ -34,7 +33,7 @@ from ..tsl.validate import is_safe
 from .chase import StructuralConstraints
 from .equivalence import components_subsumed, prepare_program
 from .mappings import body_mappings
-from .rewriter import CandidateAtom, prepared_composition
+from .rewriter import CandidateAtom, _Search
 from .session import RewriteSession
 
 
@@ -63,14 +62,18 @@ def partial_view_instantiations(target: Query, session: RewriteSession, *,
     unmapped conditions only narrow the composition, which containment
     tolerates.  Unmapped view variables are renamed fresh, in order of
     first occurrence, so they cannot accidentally join with the query's
-    variables.  Views come prepared from *session*.
+    variables.  Views come prepared from *session*; a view whose body
+    contradicts the oid key dependency is empty, so it is skipped.
     """
     atoms: list[CandidateAtom] = []
     seen: set[Condition] = set()
     taken = set(target.all_variables())
     fresh = fresh_variable_factory(taken, stem="U")
     for name in sorted(session.views):
-        view = session.prepared_view(name, budget=budget)
+        try:
+            view = session.prepared_view(name, budget=budget)
+        except ChaseContradictionError:
+            continue  # empty on every legal database: no sound use
         # First-occurrence order (head, then body), not set order: the
         # fresh names must not depend on the interpreter's hash seed.
         variables = dict.fromkeys(chain(
@@ -141,15 +144,15 @@ def maximally_contained_rewritings(
     :class:`~repro.rewriting.session.RewriteSession`; compositions are
     chased once and kept unminimized, as ``rewrite()`` keeps them.
     """
-    tracer = tracer or NULL_TRACER
-    session = RewriteSession(views, constraints, memo_size=0)
+    search = _Search(RewriteSession(views, constraints, memo_size=0),
+                     tracer=tracer, budget=budget)
+    tracer = search.tracer
     result = ContainedResult()
     accepted: list[tuple[ContainedRewriting, list]] = []
     with tracer.span("contained_rewrite",
                      query=query.name or str(query.head)) as span:
         try:
-            _contained_search(query, session, total_only, result,
-                              accepted, tracer, budget)
+            _contained_search(query, search, total_only, result, accepted)
         except BudgetExceededError as exc:
             result.truncated = True
             result.stop_reason = exc.reason or "budget"
@@ -161,20 +164,16 @@ def maximally_contained_rewritings(
     return result
 
 
-def _contained_search(query: Query, session: RewriteSession,
-                      total_only: bool, result: ContainedResult,
-                      accepted: list, tracer, budget) -> None:
-    """The relaxed Step-2 search loop, accumulating into *accepted*
-    each rewriting beside its composition's components.  A candidate
-    whose chase or composition fails (cyclic patterns included) is
-    rejected as a whole."""
-    prepared = prepare_program([query], budget=budget, session=session)
-    if not prepared:
+def _contained_search(query: Query, search: _Search, total_only: bool,
+                      result: ContainedResult, accepted: list) -> None:
+    """The relaxed Step-2 search loop on *search*'s state, accumulating
+    into *accepted* each rewriting beside its composition's components.
+    A candidate whose chase or composition fails (cyclic patterns
+    included) is rejected as a whole."""
+    if not search.prepare(query):
         return  # contradictory query: the empty answer is maximal
-    target = prepared[0]
-    target_paths = query_paths(target)
-    target_components = decompose_program(prepare_program(
-        [target], budget=budget, session=session))
+    session, tracer, budget = search.session, search.tracer, search.budget
+    target, target_paths = search.target, search.paths
     k = len(target_paths)
 
     with tracer.span("enumerate_mappings"):
@@ -201,19 +200,18 @@ def _contained_search(query: Query, session: RewriteSession,
                 try:
                     candidate = session.chase(candidate, tracer=tracer,
                                               budget=budget)
-                    composed, _witness = prepared_composition(
-                        candidate, session, tracer=tracer, budget=budget)
+                    composed, _witness = search.composition(candidate)
                 except (ChaseContradictionError, CompositionError,
                         CyclicPatternError):
                     continue
                 if not composed:
                     continue  # empty composition: contributes nothing
                 components = decompose_program(composed)
-                if not components_subsumed(components, target_components,
+                if not components_subsumed(components, search.components,
                                            budget=budget):
                     continue
                 equivalent = components_subsumed(
-                    target_components, components, budget=budget)
+                    search.components, components, budget=budget)
             accepted.append((ContainedRewriting(
                 candidate, composed, frozenset(
                     c.source for c in candidate.body

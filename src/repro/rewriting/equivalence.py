@@ -79,44 +79,26 @@ def components_subsumed(left: Sequence[ComponentQuery],
 
 def programs_equivalent(left: Iterable[Query], right: Iterable[Query],
                         constraints: StructuralConstraints | None = None,
-                        *, tracer=None, budget=None, session=None,
-                        left_components=None, right_components=None,
-                        witness=None) -> bool:
+                        *, tracer=None, budget=None, session=None) -> bool:
     """Theorem 4.3: decompose both unions and test mutual mappings.
 
     *session* memoizes the chase under its own constraints (a one-shot
-    session over *constraints* when None).  *left_components* /
-    *right_components*, when given, must be the prepared + decomposed
-    form of *left* / *right* under the same constraints; the rewriter
-    hands over each composition it has already chased, and precomputes
-    the target query's components once for every candidate.
-
-    *witness*, when given, is a
-    :class:`~repro.rewriting.witness.Step2Witness` that may prove the
-    right ⊆ left half without a search.  The left ⊆ right half runs
-    first; when it holds, the witness is checked and the full search
-    runs only if the check fails.  The ``equivalence`` span records the
-    outcome as ``witness=hit|fallback``.
+    session over *constraints* when None).  The ``equivalence`` span
+    counts the graph components of both sides.
     """
     tracer = tracer or NULL_TRACER
     session = _session_for(constraints, session)
     with tracer.span("equivalence") as span:
-        if left_components is None:
-            left_components = decompose_program(prepare_program(
-                left, budget=budget, session=session))
-        if right_components is None:
-            right_components = decompose_program(prepare_program(
-                right, budget=budget, session=session))
+        left_components = decompose_program(prepare_program(
+            left, budget=budget, session=session))
+        right_components = decompose_program(prepare_program(
+            right, budget=budget, session=session))
         span.add("components",
                  len(left_components) + len(right_components))
-        outcome = components_subsumed(left_components, right_components,
-                                      budget=budget)
-        if outcome:
-            proved = witness is not None and witness.holds(budget=budget)
-            if witness is not None:
-                span.set("witness", "hit" if proved else "fallback")
-            outcome = proved or components_subsumed(
-                right_components, left_components, budget=budget)
+        outcome = components_subsumed(
+            left_components, right_components, budget=budget) \
+            and components_subsumed(right_components, left_components,
+                                    budget=budget)
         span.set("equivalent", outcome)
         return outcome
 

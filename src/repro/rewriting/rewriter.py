@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from ..errors import (BudgetExceededError, ChaseContradictionError,
                       CompositionError, CyclicPatternError)
@@ -41,8 +41,8 @@ from ..tsl.normalize import path_to_condition, query_paths
 from ..tsl.validate import is_safe
 from .chase import StructuralConstraints
 from .composition import compose
-from .equivalence import (equivalence_obstacle, minimize, prepare_program,
-                          programs_equivalent)
+from .equivalence import (components_subsumed, equivalence_obstacle,
+                          minimize, prepare_program)
 from .index import IndexStats, PathIndex
 from .mappings import Mapping as ContainmentMapping
 from .mappings import find_mappings, mapping_obstacle
@@ -139,11 +139,25 @@ class RewriteResult:
         return len(self.rewritings)
 
 
+class SearchFlags(NamedTuple):
+    """The search-affecting options of one :func:`rewrite` run.
+
+    The session's result memo keys results on them.  Being a tuple,
+    they hash, compare and serialize (``list(flags)``) exactly as the
+    positional tuples of persisted registry documents do.
+    """
+
+    heuristic: bool = True
+    total_only: bool = False
+    prune_subsumed: bool = True
+    first_only: bool = False
+    max_candidates: int | None = None
+
+
 def view_instantiations(query: Query, views: Mapping[str, Query],
                         constraints: StructuralConstraints | None = None,
                         *, tracer=None, budget=None,
                         session=None, explain=None,
-                        signature_index=None,
                         stats: "RewriteStats | None" = None
                         ) -> list[CandidateAtom]:
     """Step 1A: mappings from each view body into body(Q), as atoms.
@@ -154,46 +168,52 @@ def view_instantiations(query: Query, views: Mapping[str, Query],
     for *views* and *constraints* (a one-shot ``memo_size=0`` one when
     None), so a session prepares each view once.  An
     :class:`~repro.rewriting.explain.Explanation` receives one event per
-    mapping found, or the refutation obstacle for views with none.
+    mapping found, or the refutation obstacle for views with none.  A
+    view whose body contradicts the oid key dependency is empty on every
+    database, so no sound rewriting uses it: it is skipped, refuted by
+    the contradiction.
 
-    With *signature_index* (a
-    :class:`~repro.analysis.viewset.LabelSignatureIndex`), views whose
-    label signature provably has no containment mapping into *query*
-    (a sound necessary condition, see
+    Views whose label signature in the session's
+    :class:`~repro.analysis.viewset.LabelSignatureIndex` provably has no
+    containment mapping into *query* (a sound necessary condition, see
     :mod:`repro.analysis.viewset.signature`) are skipped before they are
     prepared.  Skips are counted on ``stats.views_pruned_signature`` and
     recorded as ``pruned-signature`` events on *explain*.  *query* must
-    already be chased (as in ``_search``) for the profile to be sound.
+    already be chased (as the search's is) for the profile to be sound.
 
     One :class:`~repro.rewriting.index.PathIndex` over the query's body
     is shared by every per-view mapping search; target pairs the index
     lets through / proves impossible are tallied on ``stats.index_hits``
     / ``stats.index_skips``.
     """
+    from ..analysis.viewset.signature import query_profile
     tracer = tracer or NULL_TRACER
     if session is None:
         session = RewriteSession(views, constraints, memo_size=0)
+    if stats is None:
+        stats = RewriteStats()
+    signature_index = session.signature_index(tracer=tracer, budget=budget)
+    profile = query_profile(query)
     atoms: list[CandidateAtom] = []
-    profile = None
-    if signature_index is not None:
-        from ..analysis.viewset.signature import query_profile
-        profile = query_profile(query)
     target_index = PathIndex(query_paths(query))
     index_stats = IndexStats()
     for name in sorted(views):
-        if signature_index is not None:
-            signature = signature_index.signature(name)
-            if signature is not None \
-                    and not signature.admissible_for(profile):
-                if stats is not None:
-                    stats.views_pruned_signature += 1
-                if explain is not None:
-                    explain.view_pruned(name,
-                                        signature.missing_from(profile))
-                continue
+        signature = signature_index.signature(name)
+        if signature is not None and not signature.admissible_for(profile):
+            stats.views_pruned_signature += 1
+            if explain is not None:
+                explain.view_pruned(name, signature.missing_from(profile))
+            continue
         with tracer.span("enumerate_mappings", view=name) as span:
-            view = session.prepared_view(name, tracer=tracer,
-                                         budget=budget)
+            try:
+                view = session.prepared_view(name, tracer=tracer,
+                                             budget=budget)
+            except ChaseContradictionError as exc:
+                span.set("refuted", True)
+                if explain is not None:
+                    explain.mapping_refuted(
+                        name, f"the view body is unsatisfiable: {exc}")
+                continue
             found = 0
             mapping: ContainmentMapping
             for mapping in find_mappings(view, query, budget=budget,
@@ -213,9 +233,8 @@ def view_instantiations(query: Query, views: Mapping[str, Query],
                                             query_paths(query))
                 explain.mapping_refuted(name, obstacle)
                 span.set("refuted", True)
-    if stats is not None:
-        stats.index_hits += index_stats.hits
-        stats.index_skips += index_stats.skips
+    stats.index_hits += index_stats.hits
+    stats.index_skips += index_stats.skips
     return atoms
 
 
@@ -230,7 +249,6 @@ def rewrite(query: Query,
             max_candidates: int | None = None,
             tracer=None,
             budget=None,
-            metrics=None,
             session=None,
             explain=None) -> RewriteResult:
     """Find rewriting queries of *query* using *views* (Section 3.4).
@@ -264,12 +282,6 @@ def rewrite(query: Query,
         Optional :class:`repro.obs.Budget`.  Expiry anywhere in the
         pipeline stops the search; the rewritings found so far are
         returned with ``stats.truncated=True`` and ``stop_reason`` set.
-    metrics:
-        Optional :class:`repro.obs.MetricsRegistry`; the run's counters
-        are recorded under ``rewrite.*`` when it finishes, and each
-        ``rewrite`` / ``chase`` / ``compose`` / ``equivalence`` span the
-        run opened is observed in the ``phase.seconds{phase=...}``
-        latency histogram (on a private tracer when *tracer* is off).
     explain:
         Optional :class:`~repro.rewriting.explain.Explanation`; the
         search fills it with per-mapping and per-candidate decisions
@@ -280,29 +292,31 @@ def rewrite(query: Query,
         Optional :class:`repro.rewriting.session.RewriteSession` created
         for these *views* and *constraints*.  The search then reuses the
         session's prepared views and memo tables; complete results are
-        memoized per (canonical query, flags) and served on repeat
-        calls.  Prefer :meth:`RewriteSession.rewrite`, which supplies
-        the matching views/constraints automatically.  Without one the
-        run uses a one-shot session of its own (``memo_size=0``: it
-        prepares each view once and memoizes nothing).
+        memoized per (canonical query, :class:`SearchFlags`) and served
+        on repeat calls.  Prefer :meth:`RewriteSession.rewrite`, which
+        supplies the matching views/constraints automatically.  Without
+        one the run uses a one-shot session of its own (``memo_size=0``:
+        it prepares each view once and memoizes nothing).
 
-    Every view whose label signature cannot embed into the query is
-    skipped before Step 1A (a sound pre-filter, see
-    :mod:`repro.analysis.viewset.signature`; counted in
-    ``stats.views_pruned_signature``), and every mapping search is
-    restricted to statically compatible target conditions by the path
-    index (:mod:`repro.rewriting.index`; tallied in ``stats.index_hits``
-    / ``stats.index_skips``).  Both are sound, so neither changes the
-    rewriting set.
+    When the session has a metrics registry, the run's counters are
+    recorded there under ``rewrite.*`` when it finishes, and each
+    ``rewrite`` / ``chase`` / ``compose`` / ``equivalence`` span the run
+    opened is observed in the ``phase.seconds{phase=...}`` latency
+    histogram (on a private tracer when *tracer* is off).  Step 1A's
+    pre-filters (:func:`view_instantiations`) are sound, so they never
+    change the rewriting set.
     """
     if session is None:
         session = RewriteSession(views, constraints, memo_size=0)
+    metrics = session.metrics
     tracer = tracer or NULL_TRACER
     if metrics is not None and not tracer.enabled:
         tracer = Tracer()
     first_span = len(tracer.spans)
-    flags = (heuristic, total_only, prune_subsumed, first_only,
-             max_candidates)
+    flags = SearchFlags(heuristic=heuristic, total_only=total_only,
+                        prune_subsumed=prune_subsumed,
+                        first_only=first_only,
+                        max_candidates=max_candidates)
     try:
         with tracer.span("rewrite", query=query.name or str(query.head),
                          views=",".join(sorted(session.views))) as span:
@@ -319,15 +333,12 @@ def rewrite(query: Query,
             else:
                 if explain is not None:
                     explain.begin(query, session.views, session.constraints,
-                                  {"heuristic": heuristic,
-                                   "total_only": total_only,
-                                   "prune_subsumed": prune_subsumed,
-                                   "first_only": first_only,
-                                   "max_candidates": max_candidates})
-                result = RewriteResult()
+                                  flags._asdict())
+                search = _Search(session, flags, tracer=tracer,
+                                 budget=budget, explain=explain)
+                result = search.result
                 try:
-                    _search(query, flags, result, session, tracer, budget,
-                            explain)
+                    search.run(query)
                 except BudgetExceededError as exc:
                     result.stats.truncated = True
                     result.stats.stop_reason = exc.reason or "budget"
@@ -349,164 +360,295 @@ def rewrite(query: Query,
     return result
 
 
-def _search(query: Query, flags: tuple, result: RewriteResult,
-            session: RewriteSession, tracer, budget, explain) -> None:
-    """The Section 3.4 search loop, mutating *result* in place.
+class _Search:
+    """The state one Section 3.4 search shares across its steps.
 
-    *flags* is ``rewrite()``'s (heuristic, total_only, prune_subsumed,
-    first_only, max_candidates) tuple, the same one that keys the result
-    memo.  Results accumulate on *result* (not a return value) so that a
-    :class:`~repro.errors.BudgetExceededError` unwinding from any depth
-    leaves the rewritings found so far intact.
+    A search is built only when the session's result memo misses.  It
+    holds the session, tracer, budget, explanation and flags of the
+    run, the result its candidates accumulate on (not a return value,
+    so a :class:`~repro.errors.BudgetExceededError` unwinding from any
+    depth leaves the rewritings found so far intact), and the Step 2
+    target side that :meth:`prepare` computes once for every candidate:
+    the chased query ``target``, its ``paths``, the
+    :class:`~repro.rewriting.witness.Step2Target` ``step2`` and the
+    graph ``components`` of the query side of the Theorem 4.3 test.
     """
-    heuristic, total_only, prune_subsumed, first_only, max_candidates = \
-        flags
-    with tracer.span("prepare"):
-        prepared = prepare_program([query], budget=budget,
-                                   session=session)
-    if not prepared:
-        raise ChaseContradictionError(
-            "the query body contradicts the object-id key dependency")
-    target = prepared[0]
-    target_paths = query_paths(target)
-    k = len(target_paths)
-    all_indices = frozenset(range(k))
-    # Every candidate's Step 2 tests equivalence against the same right
-    # side ([target]); prepare + decompose it once and share across all
-    # candidates (batched equivalence).  Computed exactly the way
-    # programs_equivalent would, so the shared components are
-    # byte-identical to the per-candidate ones they replace.
-    target_rules = prepare_program([target], budget=budget,
-                                   session=session)
-    target_components = decompose_program(target_rules)
-    step2 = Step2Target(target_rules[0])
 
-    atoms = view_instantiations(
-        target, session.views, tracer=tracer, budget=budget,
-        session=session,
-        signature_index=session.signature_index(tracer=tracer,
-                                                budget=budget),
-        explain=explain, stats=result.stats)
-    result.stats.mappings = len(atoms)
-    if not total_only:
-        atoms.extend(
-            CandidateAtom(path_to_condition(path), frozenset([i]), None)
-            for i, path in enumerate(target_paths))
-    merge_counts: dict[Condition, int] = {}
-    atoms = _merge_duplicate_atoms(atoms, result.stats, merge_counts)
-    if explain is not None:
+    def __init__(self, session: RewriteSession,
+                 flags: SearchFlags = SearchFlags(), *, tracer=None,
+                 budget=None, explain=None) -> None:
+        self.session = session
+        self.flags = flags
+        self.tracer = tracer or NULL_TRACER
+        self.budget = budget
+        self.explain = explain
+        self.result = RewriteResult()
+        self.stats = self.result.stats
+
+    def prepare(self, query: Query) -> bool:
+        """Chase *query* into the Step 2 target side.
+
+        False when its body contradicts the object-id key dependency.
+        The query side is prepared the way the Theorem 4.3 test prepares
+        a program, so its components are those the test would compute.
+        """
+        session, budget = self.session, self.budget
+        prepared = prepare_program([query], budget=budget, session=session)
+        if not prepared:
+            return False
+        self.target = prepared[0]
+        self.paths = query_paths(self.target)
+        rules = prepare_program([self.target], budget=budget,
+                                session=session)
+        self.step2 = Step2Target(rules[0])
+        self.components = decompose_program(rules)
+        return True
+
+    def run(self, query: Query) -> None:
+        """The search loop: Step 1A, then Steps 1B, 1C and 2 per
+        candidate, in order of size."""
+        heuristic, _, prune_subsumed, first_only, max_candidates = self.flags
+        explain, stats = self.explain, self.stats
+        with self.tracer.span("prepare"):
+            satisfiable = self.prepare(query)
+        if not satisfiable:
+            raise ChaseContradictionError(
+                "the query body contradicts the object-id key dependency")
+        target, target_paths = self.target, self.paths
+        atoms = self.atoms()
+        k = len(target_paths)
+        all_indices = frozenset(range(k))
+        accepted_bodies: list[frozenset[Condition]] = []
+        for size in range(1, k + 1):
+            for combo in combinations(range(len(atoms)), size):
+                if self.budget is not None:
+                    self.budget.tick()
+                chosen = [atoms[i] for i in combo]
+                if not any(atom.is_view for atom in chosen):
+                    continue
+                stats.candidates_enumerated += 1
+                if heuristic:
+                    covered = frozenset().union(
+                        *(atom.covers for atom in chosen))
+                    if covered != all_indices:
+                        stats.candidates_pruned_by_heuristic += 1
+                        if explain is not None:
+                            uncovered = sorted(all_indices - covered)
+                            missing = "; ".join(
+                                str(path_to_condition(target_paths[i]))
+                                for i in uncovered)
+                            self._record(
+                                chosen, "pruned-heuristic",
+                                f"covering heuristic: leaves query "
+                                f"condition(s) {uncovered} uncovered "
+                                f"({missing})",
+                                {"uncovered": str(uncovered)})
+                        continue
+                body = tuple(atom.condition for atom in chosen)
+                candidate = Query(target.head, body, name=query.name)
+                if not is_safe(candidate):
+                    stats.candidates_pruned_unsafe += 1
+                    self._record(chosen, "pruned-unsafe",
+                                 "candidate is unsafe: a head variable is "
+                                 "not bound by the body")
+                    continue
+                if prune_subsumed and any(
+                        prior <= frozenset(body)
+                        for prior in accepted_bodies):
+                    stats.candidates_pruned_subsumed += 1
+                    self._record(chosen, "pruned-subsumed",
+                                 "body extends an already-accepted "
+                                 "rewriting (trivial rewriting)")
+                    continue
+                if (max_candidates is not None
+                        and stats.candidates_tested >= max_candidates):
+                    stats.truncated = True
+                    stats.stop_reason = "max_candidates"
+                    self._record(chosen, "skipped-max-candidates",
+                                 f"candidate cap of {max_candidates} "
+                                 "reached; search stopped")
+                    return
+                stats.candidates_tested += 1
+                with self.tracer.span("candidate",
+                                      index=stats.candidates_tested - 1,
+                                      conditions=len(body)) as span:
+                    accepted, verdict, reason, detail = \
+                        self.test_candidate(candidate, chosen)
+                    span.set("accepted", accepted is not None)
+                    if explain is not None:
+                        span.set("verdict", verdict)
+                        self._record(chosen, verdict, reason, detail)
+                if accepted is not None:
+                    accepted_bodies.append(frozenset(body))
+                    self.result.rewritings.append(accepted)
+                    stats.rewritings += 1
+                    if first_only:
+                        return
+
+    def atoms(self) -> list[CandidateAtom]:
+        """Steps 1A + 1B's building blocks: the view instantiations of
+        the target, then (unless ``total_only``) its own conditions,
+        with equal conditions merged."""
+        explain, stats = self.explain, self.stats
+        atoms = view_instantiations(
+            self.target, self.session.views, tracer=self.tracer,
+            budget=self.budget, session=self.session, explain=explain,
+            stats=stats)
+        stats.mappings = len(atoms)
+        if not self.flags.total_only:
+            atoms.extend(
+                CandidateAtom(path_to_condition(path), frozenset([i]), None)
+                for i, path in enumerate(self.paths))
+        # Two mappings can instantiate the same θ(head(Vi)).  A candidate
+        # body is a set of conditions, so equal-condition atoms merge,
+        # covering what either covered: every body stays reachable, at
+        # a smaller size, and none is enumerated twice.
+        merged: dict[Condition, CandidateAtom] = {}
+        counts: dict[Condition, int] = {}
         for atom in atoms:
-            explain.atom(atom.condition, atom.view, atom.covers,
-                         merge_counts.get(atom.condition, 1))
-
-    def record(chosen, verdict, reason=None, detail=None):
+            existing = merged.setdefault(atom.condition, atom)
+            if existing is not atom:
+                merged[atom.condition] = replace(
+                    existing, covers=existing.covers | atom.covers)
+                stats.candidates_pruned_duplicate += 1
+            counts[atom.condition] = counts.get(atom.condition, 0) + 1
         if explain is not None:
-            explain.candidate(
-                result.stats.candidates_enumerated - 1,
+            for atom in merged.values():
+                explain.atom(atom.condition, atom.view, atom.covers,
+                             counts[atom.condition])
+        return list(merged.values())
+
+    def _record(self, chosen, verdict, reason=None, detail=None) -> None:
+        """The EXPLAIN event of the candidate enumerated last."""
+        if self.explain is not None:
+            self.explain.candidate(
+                self.stats.candidates_enumerated - 1,
                 [atom.condition for atom in chosen],
                 sorted({atom.view for atom in chosen if atom.is_view}),
                 verdict, reason, detail)
 
-    accepted_bodies: list[frozenset[Condition]] = []
-    for size in range(1, k + 1):
-        for combo in combinations(range(len(atoms)), size):
-            if budget is not None:
-                budget.tick()
-            chosen = [atoms[i] for i in combo]
-            if not any(atom.is_view for atom in chosen):
-                continue
-            result.stats.candidates_enumerated += 1
-            if heuristic:
-                covered = frozenset().union(
-                    *(atom.covers for atom in chosen))
-                if covered != all_indices:
-                    result.stats.candidates_pruned_by_heuristic += 1
-                    if explain is not None:
-                        uncovered = sorted(all_indices - covered)
-                        missing = "; ".join(
-                            str(path_to_condition(target_paths[i]))
-                            for i in uncovered)
-                        record(chosen, "pruned-heuristic",
-                               f"covering heuristic: leaves query "
-                               f"condition(s) {uncovered} uncovered "
-                               f"({missing})",
-                               {"uncovered": str(uncovered)})
-                    continue
-            body = tuple(atom.condition for atom in chosen)
-            candidate = Query(target.head, body, name=query.name)
-            if not is_safe(candidate):
-                result.stats.candidates_pruned_unsafe += 1
-                record(chosen, "pruned-unsafe",
-                       "candidate is unsafe: a head variable is not "
-                       "bound by the body")
-                continue
-            if prune_subsumed and any(
-                    prior <= frozenset(body) for prior in accepted_bodies):
-                result.stats.candidates_pruned_subsumed += 1
-                record(chosen, "pruned-subsumed",
-                       "body extends an already-accepted rewriting "
-                       "(trivial rewriting)")
-                continue
-            if (max_candidates is not None
-                    and result.stats.candidates_tested >= max_candidates):
-                result.stats.truncated = True
-                result.stats.stop_reason = "max_candidates"
-                record(chosen, "skipped-max-candidates",
-                       f"candidate cap of {max_candidates} reached; "
-                       "search stopped")
-                return
-            result.stats.candidates_tested += 1
-            with tracer.span("candidate",
-                             index=result.stats.candidates_tested - 1,
-                             conditions=len(body)) as span:
-                accepted, verdict, reason, detail = _test_candidate(
-                    candidate, target, result, session, tracer, budget,
-                    explain is not None,
-                    target_components=target_components,
-                    step2=step2, atoms=chosen)
-                span.set("accepted", accepted is not None)
-                if explain is not None:
-                    span.set("verdict", verdict)
-                    record(chosen, verdict, reason, detail)
-            if accepted is not None:
-                accepted_bodies.append(frozenset(body))
-                result.rewritings.append(accepted)
-                result.stats.rewritings += 1
-                if first_only:
-                    return
+    def test_candidate(self, candidate: Query,
+                       atoms: Sequence[CandidateAtom] = ()
+                       ) -> tuple[Rewriting | None, str, str | None,
+                                  dict | None]:
+        """Steps 1C + 2 for one candidate, against the prepared target.
 
+        Returns ``(rewriting_or_None, verdict, reason, detail)``; the
+        costly diagnosis of an equivalence failure runs only under
+        EXPLAIN.  The Step 1A *atoms* the candidate was built from give
+        Step 2 its witness (see :meth:`composition`).  The accepted
+        rewriting keeps the chased composition rules unminimized.
+        """
+        session, tracer, budget = self.session, self.tracer, self.budget
+        try:
+            candidate = session.chase(candidate, tracer=tracer, budget=budget)
+        except (ChaseContradictionError, CyclicPatternError) as exc:
+            self.stats.candidates_failed_chase += 1
+            return None, "failed-chase", str(exc), None
+        try:
+            rules, witness = self.composition(candidate, atoms)
+        except (CompositionError, CyclicPatternError) as exc:
+            self.stats.candidates_failed_composition += 1
+            return None, "failed-composition", str(exc), None
+        self.stats.composition_rules += len(rules)
+        if not self._equivalent(decompose_program(rules), witness):
+            reason, detail = self._equivalence_failure_reason(rules)
+            return None, "failed-equivalence", reason, detail
+        rewriting = Rewriting(candidate, rules, frozenset(
+            c.source for c in candidate.body if c.source in session.views))
+        return (rewriting, "accepted",
+                f"composition is equivalent to the query "
+                f"({len(rules)} composition rule(s))"
+                if self.explain is not None else None, None)
 
-def _merge_duplicate_atoms(atoms: list[CandidateAtom],
-                           stats: RewriteStats,
-                           merge_counts: dict[Condition, int] | None = None
-                           ) -> list[CandidateAtom]:
-    """Merge atoms with equal conditions, unioning their coverage.
+    def composition(self, candidate: Query,
+                    atoms: Sequence[CandidateAtom] = ()
+                    ) -> tuple[list[Query], Step2Witness | None]:
+        """Step 2's left side: the composition of the chased *candidate*.
 
-    Two containment mappings can instantiate the same ``θ(head(Vi))``;
-    keeping both makes ``combinations`` enumerate duplicate candidate
-    bodies, each paying the full chase/compose/equivalence bill.  A
-    candidate body is a *set* of conditions, so equal-condition atoms
-    are interchangeable; the merged atom covers everything either
-    mapping covered, which keeps every previously-reachable body
-    reachable (at a smaller combination size).
+        Returns the composition rules, each chased once (contradictory
+        rules drop out), and, given the Step 1A *atoms* the candidate
+        was built from, the
+        :class:`~repro.rewriting.witness.Step2Witness` for its
+        query ⊆ composition half (else None).  Raises
+        :class:`~repro.errors.CompositionError` as :func:`compose` does,
+        and :class:`~repro.errors.CyclicPatternError` for a cyclic rule,
+        which rejects the whole candidate: without the rule, a smaller
+        union could pass a containment test unsoundly.
+        """
+        session, budget = self.session, self.budget
+        provenance: list = []
+        composed = compose(candidate, session.views, tracer=self.tracer,
+                           budget=budget, provenance=provenance)
+        rules: list[Query] = []
+        origins: list = []
+        for rule, origin in zip(composed, provenance):
+            try:
+                rules.append(session.chase(rule, budget=budget))
+            except ChaseContradictionError:
+                continue  # empty on every legal database: contributes nothing
+            origins.append(origin)
+        return rules, (Step2Witness(self.step2, rules, origins, candidate,
+                                    atoms) if atoms else None)
 
-    *merge_counts*, when given, receives how many source atoms each
-    surviving condition absorbed (EXPLAIN provenance).
-    """
-    merged: dict[Condition, CandidateAtom] = {}
-    for atom in atoms:
-        existing = merged.get(atom.condition)
-        if existing is None:
-            merged[atom.condition] = atom
+    def _equivalent(self, components, witness) -> bool:
+        """Step 2's Theorem 4.3 test of a composition's *components*
+        against the target's.
+
+        composition ⊆ query is searched first; when it holds,
+        query ⊆ composition is proved from *witness* (a
+        :class:`~repro.rewriting.witness.Step2Witness`, or None), and
+        searched only when the proof fails.  The ``equivalence`` span
+        records the outcome as ``witness=hit|fallback``.
+        """
+        budget = self.budget
+        with self.tracer.span("equivalence") as span:
+            span.add("components", len(components) + len(self.components))
+            outcome = components_subsumed(components, self.components,
+                                          budget=budget)
+            if outcome:
+                proved = witness is not None and witness.holds(budget=budget)
+                if witness is not None:
+                    span.set("witness", "hit" if proved else "fallback")
+                outcome = proved or components_subsumed(
+                    self.components, components, budget=budget)
+            span.set("equivalent", outcome)
+            return outcome
+
+    def _equivalence_failure_reason(self, composed
+                                    ) -> tuple[str | None, dict | None]:
+        """Name the graph component on which the Step 2 test failed.
+
+        The report quotes a composition component, so it is computed
+        over the minimized rules: the core names the failing condition
+        without the redundant view-body copies.  Only an EXPLAIN run
+        that rejects a candidate pays for the minimization.
+        """
+        if self.explain is None:
+            return None, None
+        if not composed:
+            return ("the composition is empty: the candidate is "
+                    "unsatisfiable against the view definitions", None)
+        session, budget = self.session, self.budget
+        core = [minimize(rule, budget=budget) for rule in
+                prepare_program(composed, budget=budget, session=session)]
+        obstacle = equivalence_obstacle(core, [self.target], budget=budget,
+                                        session=session)
+        if obstacle is None:  # diagnostic re-run disagreed; report plainly
+            return "composition is not equivalent to the query", None
+        kind, component = obstacle["component_kind"], obstacle["component"]
+        if obstacle["unmapped_side"] == "left":
+            direction = "composition-into-query"
+            reason = (f"the composition's {kind}-rule component "
+                      f"[{component}] has no containment mapping from any "
+                      f"query component (composition ⊄ query)")
         else:
-            merged[atom.condition] = CandidateAtom(
-                existing.condition, existing.covers | atom.covers,
-                existing.view, existing.theta)
-            stats.candidates_pruned_duplicate += 1
-        if merge_counts is not None:
-            merge_counts[atom.condition] = \
-                merge_counts.get(atom.condition, 0) + 1
-    return list(merged.values())
+            direction = "query-into-composition"
+            reason = (f"the query's {kind}-rule component [{component}] "
+                      f"has no containment mapping from any composition "
+                      f"component (query ⊄ composition)")
+        return reason, {"direction": direction, "component_kind": kind,
+                        "component": component}
 
 
 def _record_metrics(metrics, stats: RewriteStats) -> None:
@@ -526,132 +668,6 @@ def _record_metrics(metrics, stats: RewriteStats) -> None:
         metrics.increment("rewrite.truncated_runs")
     if stats.stop_reason is not None:
         metrics.increment(f"rewrite.stopped.{stats.stop_reason}")
-
-
-def _test_candidate(candidate: Query, target: Query,
-                    result: RewriteResult, session: RewriteSession,
-                    tracer=NULL_TRACER, budget=None,
-                    explain_active: bool = False, *,
-                    target_components=None,
-                    step2: Step2Target | None = None,
-                    atoms: Sequence[CandidateAtom] = ()
-                    ) -> tuple[Rewriting | None, str, str | None,
-                               dict | None]:
-    """Steps 1C + 2 for one candidate, over *session*'s views.
-
-    Returns ``(rewriting_or_None, verdict, reason, detail)``.  The
-    verdict/reason strings are cheap to produce; the expensive
-    equivalence-failure diagnosis (which graph component has no mapping)
-    only runs when *explain_active*.  *target_components* / *step2*
-    are ``_search``'s once-per-run precomputation of the right side of
-    the Step 2 test; with *step2* and the Step 1A *atoms* the candidate
-    was built from, the
-    query ⊆ composition half is checked from a witness
-    (:mod:`repro.rewriting.witness`) before it is searched.  Each
-    composition rule is chased once, and the accepted rewriting keeps
-    the chased rules unminimized; a cyclic one rejects the candidate.
-    """
-    views = session.views
-    try:
-        candidate = session.chase(candidate, tracer=tracer, budget=budget)
-    except (ChaseContradictionError, CyclicPatternError) as exc:
-        result.stats.candidates_failed_chase += 1
-        return None, "failed-chase", str(exc), None
-    try:
-        rules, witness = prepared_composition(candidate, session, step2,
-                                              atoms, tracer=tracer,
-                                              budget=budget)
-    except (CompositionError, CyclicPatternError) as exc:
-        result.stats.candidates_failed_composition += 1
-        return None, "failed-composition", str(exc), None
-    result.stats.composition_rules += len(rules)
-    if not programs_equivalent(
-            rules, [target], tracer=tracer, budget=budget, session=session,
-            left_components=decompose_program(rules),
-            right_components=target_components, witness=witness):
-        reason, detail = _equivalence_failure_reason(
-            rules, target, session, budget, explain_active)
-        return None, "failed-equivalence", reason, detail
-    views_used = frozenset(c.source for c in candidate.body
-                           if c.source in views)
-    rewriting = Rewriting(query=candidate, composition=rules,
-                          views_used=views_used)
-    return (rewriting, "accepted",
-            f"composition is equivalent to the query "
-            f"({len(rules)} composition rule(s))" if explain_active
-            else None, None)
-
-
-def prepared_composition(candidate: Query, session: RewriteSession,
-                         step2: Step2Target | None = None,
-                         atoms: Sequence[CandidateAtom] = (), *,
-                         tracer=NULL_TRACER, budget=None
-                         ) -> tuple[list[Query], Step2Witness | None]:
-    """Step 2's left side: the composition of the chased *candidate*.
-
-    Returns the composition rules, each chased once (contradictory
-    rules drop out), and, given the search's *step2* target and the
-    Step 1A *atoms* the candidate was built from, the
-    :class:`~repro.rewriting.witness.Step2Witness` for its
-    query ⊆ composition half (else None).  Raises
-    :class:`~repro.errors.CompositionError` as :func:`compose` does, and
-    :class:`~repro.errors.CyclicPatternError` for a cyclic rule, which
-    rejects the whole candidate: without the rule, a smaller union could
-    pass a containment test unsoundly.
-    """
-    provenance: list = []
-    composed = compose(candidate, session.views, tracer=tracer,
-                       budget=budget, provenance=provenance)
-    rules: list[Query] = []
-    origins: list = []
-    for rule, origin in zip(composed, provenance):
-        try:
-            rules.append(session.chase(rule, budget=budget))
-        except ChaseContradictionError:
-            continue  # empty on every legal database: contributes nothing
-        origins.append(origin)
-    witness = None
-    if step2 is not None and atoms:
-        witness = Step2Witness(step2, rules, origins, candidate, atoms)
-    return rules, witness
-
-
-def _equivalence_failure_reason(composed, target, session, budget,
-                                explain_active
-                                ) -> tuple[str | None, dict | None]:
-    """Name the graph component on which the Step 2 test failed.
-
-    The report quotes a composition component, so it is computed over
-    the minimized rules: the core names the failing condition without
-    the redundant view-body copies.  Only an EXPLAIN run that rejects a
-    candidate pays for the minimization.
-    """
-    if not explain_active:
-        return None, None
-    if not composed:
-        return ("the composition is empty: the candidate is "
-                "unsatisfiable against the view definitions", None)
-    core = [minimize(rule, budget=budget) for rule in
-            prepare_program(composed, budget=budget, session=session)]
-    obstacle = equivalence_obstacle(core, [target], budget=budget,
-                                    session=session)
-    if obstacle is None:  # diagnostic re-run disagreed; report plainly
-        return "composition is not equivalent to the query", None
-    kind = obstacle["component_kind"]
-    component = obstacle["component"]
-    if obstacle["unmapped_side"] == "left":
-        reason = (f"the composition's {kind}-rule component "
-                  f"[{component}] has no containment mapping from any "
-                  f"query component (composition ⊄ query)")
-    else:
-        reason = (f"the query's {kind}-rule component [{component}] has "
-                  f"no containment mapping from any composition "
-                  f"component (query ⊄ composition)")
-    return reason, {"direction": "composition-into-query"
-                    if obstacle["unmapped_side"] == "left"
-                    else "query-into-composition",
-                    "component_kind": kind,
-                    "component": component}
 
 
 def rewrite_single_path(query: Query, view: Query,
@@ -682,10 +698,6 @@ def is_rewriting(candidate: Query, query: Query,
                  constraints: StructuralConstraints | None = None) -> bool:
     """Check one hand-written candidate: the search's own Steps 1C + 2,
     on a one-shot session."""
-    session = RewriteSession(views, constraints, memo_size=0)
-    prepared = prepare_program([query], session=session)
-    if not prepared:
-        return False
-    accepted = _test_candidate(candidate, prepared[0], RewriteResult(),
-                               session)[0]
-    return accepted is not None
+    search = _Search(RewriteSession(views, constraints, memo_size=0))
+    return search.prepare(query) \
+        and search.test_candidate(candidate)[0] is not None

@@ -201,8 +201,10 @@ class RewriteSession:
         kept at any size: they depend only on the (views, constraints)
         pair.
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry` receiving
-        ``cache.*`` counters.
+        Optional :class:`~repro.obs.MetricsRegistry` receiving the
+        ``cache.*`` counters and, for every ``rewrite()`` run on the
+        session, the ``rewrite.*`` counters and ``phase.seconds``
+        histogram.
     """
 
     def __init__(self, views: Union[Mapping[str, Query], Sequence[Query]],
@@ -322,11 +324,12 @@ class RewriteSession:
     def rewrite(self, query: Query, **kwargs):
         """Memoized :func:`~repro.rewriting.rewriter.rewrite`.
 
-        Keyword arguments are the searched-affecting flags of
-        ``rewrite()`` (``heuristic``, ``total_only``, ...) plus
-        ``tracer``/``budget``/``metrics``.  Complete results are cached
+        Keyword arguments are the search flags of ``rewrite()``
+        (``heuristic``, ``total_only``, ...; see
+        :class:`~repro.rewriting.rewriter.SearchFlags`) plus
+        ``tracer``/``budget``/``explain``.  Complete results are cached
         per (canonical query, flags); truncated results are returned but
-        never stored.
+        never stored.  The run's metrics go to this session's registry.
         """
         from .rewriter import rewrite
         return rewrite(query, self.views, self.constraints,

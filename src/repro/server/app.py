@@ -686,9 +686,7 @@ class ReproServer:
         ctx.explanation = explanation
         try:
             result = session.rewrite(
-                request.query, total_only=request.total_only,
-                max_candidates=request.max_candidates,
-                budget=budget, metrics=self.registry,
+                request.query, **request.flags._asdict(), budget=budget,
                 tracer=ctx.tracer, explain=explanation)
         except ChaseContradictionError as exc:
             return 422, {"error": {

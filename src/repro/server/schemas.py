@@ -26,6 +26,7 @@ from ..errors import ReproError, TslError
 from ..oem.model import OemDatabase
 from ..oem.serialize import database_from_json
 from ..rewriting import StructuralConstraints, parse_dtd
+from ..rewriting.rewriter import SearchFlags
 from ..tsl import parse_query, validate
 from ..tsl.ast import Query
 from ..tsl.validate import check_acyclic
@@ -169,14 +170,12 @@ class RewriteRequest:
     budget_ms: float | None = None
     max_steps: int | None = None
     explain: bool = False
-    #: The flags tuple the session memo keys results under -- must
-    #: mirror ``rewrite()``'s (heuristic, total_only, prune_subsumed,
-    #: first_only, max_candidates) order.
-    flags: tuple = field(init=False)
+    #: The search flags the session memo keys this request's result under.
+    flags: SearchFlags = field(init=False)
 
     def __post_init__(self) -> None:
-        self.flags = (True, self.total_only, True, False,
-                      self.max_candidates)
+        self.flags = SearchFlags(total_only=self.total_only,
+                                 max_candidates=self.max_candidates)
 
     @classmethod
     def from_json(cls, data: Any, *,

@@ -5,6 +5,7 @@ import importlib
 import pytest
 
 from repro.errors import RepositoryError
+from repro.obs import MetricsRegistry
 from repro.oem import identical
 from repro.repository import Repository, Store, ViewManager
 from repro.tsl import evaluate, parse_query
@@ -77,6 +78,18 @@ class TestAnswering:
         assert identical(report.answer,
                          evaluate(sigmod_97_query(), biblio_db))
         assert report.rewriting is not None
+
+    def test_registry_records_the_cache_rewrites(self, biblio_db):
+        # The query cache's session holds the repository's registry, so
+        # the rewrite runs it makes are counted and timed there.
+        registry = MetricsRegistry()
+        repo = Repository.from_database(biblio_db, metrics=registry)
+        repo.query(conference_query("sigmod"), use_views=False)
+        report = repo.query_with_report(sigmod_97_query(), use_views=False)
+        assert report.method == "cache"
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["rewrite.runs"] >= 1
+        assert "phase.seconds{phase=rewrite}" in snapshot["histograms"]
 
     def test_direct_then_cache(self, repo):
         query = conference_query("vldb", 1998)

@@ -11,7 +11,7 @@ import pytest
 from repro.obs import Budget, MetricsRegistry, Tracer
 from repro.rewriting import (RewriteSession, maximally_contained_rewritings,
                              paper_dtd, rewrite)
-from repro.rewriting.rewriter import RewriteResult, _test_candidate
+from repro.rewriting.rewriter import RewriteResult, _Search
 from repro.tsl import parse_query
 from repro.workloads import (condition_view, k_conditions_query, query_q3,
                              view_v1)
@@ -126,13 +126,13 @@ class TestFailureCounters:
         # Same oid bound to two distinct constants: the chase contradicts.
         candidate = parse_query(
             '<f(P) ans V> :- <P pub V>@V AND <P x "a">@V AND <P y "b">@V')
-        result = RewriteResult()
-        accepted, verdict, _, _ = _test_candidate(
-            candidate, target, result, RewriteSession({"V": view}))
+        search = _Search(RewriteSession({"V": view}))
+        assert search.prepare(target)
+        accepted, verdict, _, _ = search.test_candidate(candidate)
         assert accepted is None
         assert verdict == "failed-chase"
-        assert result.stats.candidates_failed_chase == 1
-        assert result.stats.candidates_failed_composition == 0
+        assert search.stats.candidates_failed_chase == 1
+        assert search.stats.candidates_failed_composition == 0
 
     def test_failed_composition_counted(self):
         target = parse_query('<f(P) ans V> :- <P pub V>@db')
@@ -141,13 +141,13 @@ class TestFailureCounters:
         # V binds a variable to the set-constructed view value: the one
         # corner compose() rejects with CompositionError.
         candidate = parse_query('<f(P) ans V> :- <P pub V>@V')
-        result = RewriteResult()
-        accepted, verdict, _, _ = _test_candidate(
-            candidate, target, result, RewriteSession({"V": view}))
+        search = _Search(RewriteSession({"V": view}))
+        assert search.prepare(target)
+        accepted, verdict, _, _ = search.test_candidate(candidate)
         assert accepted is None
         assert verdict == "failed-composition"
-        assert result.stats.candidates_failed_composition == 1
-        assert result.stats.candidates_failed_chase == 0
+        assert search.stats.candidates_failed_composition == 1
+        assert search.stats.candidates_failed_chase == 0
 
     def test_stats_serialize_with_new_fields(self):
         result = rewrite(query_q3(), {"V1": view_v1()})
@@ -199,7 +199,8 @@ class TestTracing:
 
     def test_metrics_recorded_when_registry_passed(self):
         registry = MetricsRegistry()
-        rewrite(query_q3(), {"V1": view_v1()}, metrics=registry)
+        RewriteSession({"V1": view_v1()}, memo_size=0,
+                       metrics=registry).rewrite(query_q3())
         counters = registry.snapshot()["counters"]
         assert counters["rewrite.runs"] == 1
         assert counters["rewrite.rewritings"] == 1
@@ -210,12 +211,13 @@ class TestTracing:
         # those: the span already open on the caller's tracer is not one.
         tracer, registry = Tracer(), MetricsRegistry()
         with tracer.span("request"):
-            rewrite(query_q3(), {"V1": view_v1()}, paper_dtd(),
-                    tracer=tracer, metrics=registry)
+            RewriteSession({"V1": view_v1()}, paper_dtd(), memo_size=0,
+                           metrics=registry).rewrite(query_q3(),
+                                                     tracer=tracer)
         # Without a tracer the run times itself on a private one.
         untraced = MetricsRegistry()
-        rewrite(query_q3(), {"V1": view_v1()}, paper_dtd(),
-                metrics=untraced)
+        RewriteSession({"V1": view_v1()}, paper_dtd(), memo_size=0,
+                       metrics=untraced).rewrite(query_q3())
         histograms = registry.snapshot()["histograms"]
         counts = {name: hist["count"] for name, hist
                   in untraced.snapshot()["histograms"].items()}
@@ -236,7 +238,8 @@ class TestTracing:
         registry = MetricsRegistry()
         query, views = star_workload(2)
         budget = Budget(max_steps=midway_steps(query, views))
-        result = rewrite(query, views, budget=budget, metrics=registry)
+        result = RewriteSession(views, memo_size=0, metrics=registry) \
+            .rewrite(query, budget=budget)
         assert result.truncated is True
         counters = registry.snapshot()["counters"]
         assert counters["rewrite.runs"] == 1

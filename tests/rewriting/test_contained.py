@@ -15,7 +15,7 @@ from repro.oracle import PROFILES, generate_case
 from repro.rewriting import (RewriteSession, contained_in,
                              maximally_contained_rewritings, minimize,
                              prepare_program, programs_contained, rewrite)
-from repro.rewriting.rewriter import RewriteResult, _test_candidate
+from repro.rewriting.rewriter import _Search
 from repro.tsl import evaluate, parse_query
 
 
@@ -130,6 +130,16 @@ class TestMaximallyContained:
         assert all(len(minimize(rule).body) < len(rule.body)
                    for rule in best.composition)
 
+    def test_unsatisfiable_view_is_skipped(self):
+        from tests.rewriting.test_rewriter import (PERSON_QUERY,
+                                                   UNSATISFIABLE_VIEWS)
+        views = {name: parse_query(text, name=name)
+                 for name, text in UNSATISFIABLE_VIEWS.items()}
+        outcome = maximally_contained_rewritings(parse_query(PERSON_QUERY),
+                                                 views)
+        assert [str(r) for r in outcome] == [
+            "[equivalent] <f(P) person Y> :- <h(P) person Y>@Good"]
+
 
 #: A view whose partial instantiation ``O1 = O6`` nests an oid under
 #: itself in the composition (generator case dag/7).
@@ -156,18 +166,16 @@ class TestCyclicCompositions:
         # cyclic rule could leave a smaller, wrongly contained union.
         session = RewriteSession(
             {"V": parse_query(CYCLE_VIEW, name="V")}, memo_size=0)
-        [target] = prepare_program([parse_query(CYCLE_QUERY)],
-                                   session=session)
+        search = _Search(session)
+        assert search.prepare(parse_query(CYCLE_QUERY))
         candidate = parse_query(
             "<ans(O1) result {<out(O1) item V5>}> :- "
             "<xrow(e,U,U,V2,V5) row ok>@V")
-        result = RewriteResult()
-        accepted, verdict, reason, _ = _test_candidate(
-            candidate, target, result, session)
+        accepted, verdict, reason, _ = search.test_candidate(candidate)
         assert accepted is None
         assert verdict == "failed-composition"
         assert "cycle" in reason
-        assert result.stats.candidates_failed_composition == 1
+        assert search.stats.candidates_failed_composition == 1
 
     def test_cyclic_view_raises_promptly(self):
         query = parse_query("<f(X) r Y> :- <X e Y>@db")
@@ -181,14 +189,31 @@ class TestCyclicCompositions:
 
 
 #: Prints the contained rewritings of generator case conjunctive/1, whose
-#: view has three variables the query does not bind.
+#: view has three variables the query does not bind; then, for three
+#: generator cases per profile, rewrite()'s rewritings, its EXPLAIN JSON
+#: and the SessionRegistry document of the session it ran on.
 HASH_SEED_SCRIPT = """
+import json, tempfile
 from repro.oracle import PROFILES, generate_case
-from repro.rewriting import maximally_contained_rewritings
+from repro.rewriting import (Explanation, RewriteSession,
+                             maximally_contained_rewritings)
+from repro.storage import SessionRegistry, StorageLayout
 case = generate_case(1, PROFILES["conjunctive"])
 for rewriting in maximally_contained_rewritings(
         case.query, case.views, case.constraints):
     print(rewriting)
+with tempfile.TemporaryDirectory() as root:
+    registry = SessionRegistry(StorageLayout(root))
+    for profile in sorted(PROFILES):
+        for seed in range(3):
+            case = generate_case(seed, PROFILES[profile])
+            session = RewriteSession(case.views, case.constraints)
+            explain = Explanation()
+            result = session.rewrite(case.query, explain=explain)
+            print(profile, seed, [str(r) for r in result])
+            print(json.dumps(explain.to_json()))
+            registry.save(profile, session, 0)
+            print(registry.layout.session_path(profile).read_text())
 """
 
 
@@ -205,4 +230,8 @@ class TestDeterminism:
                                   timeout=120, check=True)
             outputs.append(proc.stdout)
         assert "U_1" in outputs[0]
+        printed = [line for line in outputs[0].splitlines()
+                   if line.split(" ")[0] in PROFILES]
+        assert len(printed) == 3 * len(PROFILES)
+        assert all("@" in line for line in printed)  # each has rewritings
         assert outputs[0] == outputs[1]

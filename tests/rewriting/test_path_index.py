@@ -28,7 +28,7 @@ from repro.rewriting.mappings import (_unrename, body_mappings,
                                       component_mapping, coverage,
                                       find_mappings, map_path_into,
                                       rename_paths_apart)
-from repro.rewriting.rewriter import RewriteStats
+from repro.rewriting.rewriter import RewriteStats, _Search
 from repro.tsl import parse_query, query_paths
 from repro.tsl.ast import SetPattern
 from repro.tsl.decompose import decompose_program
@@ -390,11 +390,14 @@ class TestRightComponents:
     def test_precomputed_components_give_the_same_verdict(self, left,
                                                           right,
                                                           expected):
-        target = [right()]
-        components = decompose_program(prepare_program(target, None))
-        assert programs_equivalent([left()], target) is expected
-        assert programs_equivalent(
-            [left()], target, right_components=components) is expected
+        # The search prepares the target's components once; its Step 2
+        # over them agrees with the plain Theorem 4.3 test.
+        search = _Search(RewriteSession((), memo_size=0))
+        assert search.prepare(right())
+        left_components = decompose_program(prepare_program([left()],
+                                                            None))
+        assert programs_equivalent([left()], [right()]) is expected
+        assert search._equivalent(left_components, None) is expected
 
 
 # --------------------------------------------------------------------------
@@ -424,8 +427,8 @@ class TestFlagAndMetrics:
 
     def test_index_counters_are_emitted(self):
         registry = MetricsRegistry()
-        session = RewriteSession(self.views())
-        result = session.rewrite(k_conditions_query(2), metrics=registry)
+        session = RewriteSession(self.views(), metrics=registry)
+        result = session.rewrite(k_conditions_query(2))
         counters = registry.snapshot()["counters"]
         assert counters["rewrite.index.hits"] == result.stats.index_hits
         assert counters["rewrite.index.skips"] == result.stats.index_skips
@@ -434,20 +437,23 @@ class TestFlagAndMetrics:
         from repro.rewriting import view_instantiations
         step1a = RewriteStats()
         view_instantiations(chase(k_conditions_query(2), None),
-                            session.views, session=session,
-                            signature_index=session.signature_index(),
-                            stats=step1a)
+                            session.views, session=session, stats=step1a)
         assert (step1a.index_hits, step1a.index_skips) == \
             (result.stats.index_hits, result.stats.index_skips)
 
-    def test_index_skips_on_label_disjoint_views(self):
-        # condition_view(9) matches none of q's labels: without a
-        # signature index, only the path index stands between it and a
-        # doomed mapping search.
+    def test_index_skips_on_views_the_signature_admits(self):
+        # Every label of V9 occurs in q, so the signature pre-filter
+        # admits it; its nested path matches none of q's flat ones, so
+        # only the path index stands between it and a doomed mapping
+        # search.
         from repro.rewriting import view_instantiations
-        views = {"V1": condition_view(1), "V9": condition_view(9)}
+        nested = parse_query("<g(P) row V> :- <P c1 {<X c2 V>}>@db",
+                             name="V9")
+        views = {"V1": condition_view(1), "V9": nested}
         stats = RewriteStats()
-        view_instantiations(chase(k_conditions_query(1), None), views,
-                            stats=stats)
+        atoms = view_instantiations(chase(k_conditions_query(2), None),
+                                    views, stats=stats)
+        assert stats.views_pruned_signature == 0
         assert stats.index_skips > 0
+        assert {a.view for a in atoms} == {"V1"}
 

@@ -145,6 +145,32 @@ class TestViewInstantiations:
         assert all(a.is_view for a in atoms)
 
 
+#: A view whose body contradicts the oid key dependency (P is both a
+#: set and the atom 3), beside a usable one.
+UNSATISFIABLE_VIEWS = {
+    "Bad": "<g(P) out Y> :- <P person {<N name Y>}>@db AND <P person 3>@db",
+    "Good": "<h(P) person Y> :- <P person Y>@db",
+}
+PERSON_QUERY = "<f(P) person Y> :- <P person Y>@db"
+
+
+class TestUnsatisfiableView:
+    """A view empty on every database is skipped, not fatal."""
+
+    def test_search_returns_the_usable_views_rewriting(self):
+        from repro.rewriting import Explanation
+        views = {name: parse_query(text, name=name)
+                 for name, text in UNSATISFIABLE_VIEWS.items()}
+        explain = Explanation()
+        result = rewrite(parse_query(PERSON_QUERY), views, explain=explain)
+        assert [str(r) for r in result] == [
+            "<f(P) person Y> :- <h(P) person Y>@Good"]
+        [refuted] = [m for m in explain.mappings if m.view == "Bad"]
+        assert not refuted.found
+        assert refuted.obstacle.startswith("the view body is unsatisfiable")
+        assert "atomic" in refuted.obstacle
+
+
 class TestBoundK:
     """Lemma 5.2: at most k view heads are needed."""
 

@@ -1,6 +1,5 @@
 """The label-signature pre-filter: sound pruning, stats, memo plumbing."""
 
-from repro.analysis.viewset import LabelSignatureIndex
 from repro.obs import MetricsRegistry
 from repro.rewriting import RewriteSession, paper_dtd, rewrite
 from repro.rewriting.canon import query_key
@@ -56,14 +55,14 @@ class TestPruning:
                 assert fingerprint(on) == fingerprint(off)
                 assert on.stats.views_pruned_signature == 3
 
-    def test_explicit_index_is_consulted(self):
+    def test_one_shot_session_index_is_consulted(self):
+        # Without a session, Step 1A prunes through the index of the
+        # one-shot session it prepares the views on.
         query = k_conditions_query(1)
         views = mixed_views(live=1, dead=3)
-        index = LabelSignatureIndex.from_views(views)
         stats = RewriteStats()
         from repro.rewriting.rewriter import view_instantiations
-        atoms = view_instantiations(chase(query, None), views,
-                                    signature_index=index, stats=stats)
+        atoms = view_instantiations(chase(query, None), views, stats=stats)
         assert stats.views_pruned_signature == 3
         assert {a.view for a in atoms if a.view} == {"V1"}
 
@@ -71,8 +70,9 @@ class TestPruning:
 class TestMetrics:
     def test_pruned_counter_is_emitted(self):
         registry = MetricsRegistry()
-        session = RewriteSession(mixed_views(live=2, dead=5))
-        session.rewrite(k_conditions_query(2), metrics=registry)
+        session = RewriteSession(mixed_views(live=2, dead=5),
+                                 metrics=registry)
+        session.rewrite(k_conditions_query(2))
         snapshot = registry.snapshot()
         assert snapshot["counters"]["rewrite.pruned.signature"] == 5
 
@@ -93,8 +93,7 @@ class TestSessionPlumbing:
         stats = RewriteStats()
         atoms = view_instantiations(
             chase(k_conditions_query(2), None), session.views,
-            session=session, signature_index=session.signature_index(),
-            stats=stats)
+            session=session, stats=stats)
         assert stats.views_pruned_signature == 5
         assert {a.view for a in atoms} == {"V1", "V2"}
 

@@ -18,11 +18,9 @@ from repro.obs import Budget, Tracer
 from repro.rewriting import rewrite
 from repro.rewriting.constraints import paper_dtd
 from repro.rewriting.equivalence import programs_equivalent
-from repro.rewriting.rewriter import CandidateAtom, prepared_composition
+from repro.rewriting.rewriter import CandidateAtom, _Search
 from repro.rewriting.session import RewriteSession
-from repro.rewriting.witness import Step2Target
 from repro.tsl import parse_query
-from repro.tsl.decompose import decompose_program
 from repro.workloads import (conference_query, conference_view, query_q3,
                              query_q5, query_q7, view_v1)
 from repro.workloads.biblio import CONFERENCES
@@ -100,22 +98,21 @@ def _stacked():
 def test_view_over_view_falls_back_to_the_search():
     views, query = _stacked()
     session = RewriteSession(views, memo_size=0)
-    target = session.chase(query)
+    tracer = Tracer()
+    search = _Search(session, tracer=tracer)
+    assert search.prepare(query)
     # S2 over S1 over db: the candidate unfolds in two levels to the
     # query itself.
     candidate = parse_query("<p(Z) x ok> :- <v_s2(v_s1(Z)) out 7>@S2",
                             name="Q")
     atom = CandidateAtom(candidate.body[0], frozenset([0]), "S2",
                          Substitution({Variable("X"): Variable("Z")}))
-    rules, witness = prepared_composition(
-        session.chase(candidate), session, Step2Target(target), [atom])
+    rules, witness = search.composition(session.chase(candidate), [atom])
     # Two unfolding levels: no rule reports provenance.
     assert rules and witness.origins == [None]
     assert witness.holds() is False
-    tracer = Tracer()
-    assert programs_equivalent(
-        rules, [target], tracer=tracer, session=session,
-        left_components=decompose_program(rules), witness=witness)
+    accepted, verdict, _, _ = search.test_candidate(candidate, [atom])
+    assert accepted is not None and verdict == "accepted"
     assert witness_outcomes(tracer) == ["fallback"]
 
 

@@ -146,6 +146,18 @@ class TestRewriteEndpoint:
         assert body["explanation"]["candidates"]
 
 
+    def test_unsatisfiable_view_does_not_fail_the_request(self, srv):
+        # The view is empty on every database; the query is fine, so the
+        # search skips the view rather than answering 422.
+        from tests.rewriting.test_rewriter import (PERSON_QUERY,
+                                                   UNSATISFIABLE_VIEWS)
+        status, body = srv.post("/rewrite", {
+            "query": PERSON_QUERY, "views": UNSATISFIABLE_VIEWS})
+        assert status == 200, body
+        assert [r["query"] for r in body["rewritings"]] == [
+            "<f(P) person Y> :- <h(P) person Y>@Good"]
+
+
 class TestErrorModel:
     def test_empty_body_is_400(self, srv):
         status, _body = srv.request("POST", "/rewrite")

@@ -5,6 +5,7 @@ import json
 from repro.rewriting.canon import query_key
 from repro.rewriting.constraints import paper_dtd
 from repro.rewriting.equivalence import minimize, programs_equivalent
+from repro.rewriting.rewriter import SearchFlags
 from repro.rewriting.session import RewriteSession
 from repro.storage import SessionRegistry, StorageLayout
 from repro.tsl.parser import parse_query
@@ -45,6 +46,23 @@ class TestRoundTrip:
         assert all(r.composition for r in warm.rewritings)
         # The decision log does not persist; explain lookups recompute.
         assert explanation is None
+
+    def test_plain_list_flags_hit_under_search_flags(self, tmp_path):
+        # Documents store the flags as a positional JSON list; a session
+        # keyed by SearchFlags serves them as memo hits.
+        session, outcome = warmed_session()
+        layout = StorageLayout(tmp_path)
+        SessionRegistry(layout).save("cfg", session, store_version=0)
+        path = layout.session_path("cfg")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        [record] = document["entries"]
+        assert record["flags"] == [True, False, True, False, None]
+        fresh = RewriteSession({"V1": view_v1()}, None)
+        SessionRegistry(layout).load_into("cfg", fresh, store_version=0)
+        assert fresh.peek_result(query_q3(), SearchFlags()) is not None
+        warm = fresh.rewrite(query_q3())
+        assert fresh.stats()["rewrite"]["hits"] == 1
+        assert fingerprint(warm) == fingerprint(outcome)
 
     def test_reload_preserves_the_exact_match_guard(self, tmp_path):
         # The memo key is canonical, but lookup_result also demands the
