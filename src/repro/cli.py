@@ -190,23 +190,22 @@ def _search_inputs(args: argparse.Namespace):
 def _cmd_rewrite(args: argparse.Namespace) -> int:
     import json as json_module
 
+    if args.contained and args.max_candidates is not None:
+        raise ReproError("--max-candidates does not apply to --contained")
     query, views, constraints, tracer, budget = _search_inputs(args)
-    stats = None
     if args.contained:
-        outcome = maximally_contained_rewritings(
+        result = maximally_contained_rewritings(
             query, views, constraints, total_only=args.total,
             tracer=tracer, budget=budget)
         rewritings = [(r.query, "equivalent" if r.is_equivalent
-                       else "contained") for r in outcome.rewritings]
-        truncated, stop_reason = outcome.truncated, outcome.stop_reason
+                       else "contained") for r in result.rewritings]
     else:
         result = RewriteSession(views, constraints).rewrite(
             query, total_only=args.total,
             max_candidates=args.max_candidates,
             tracer=tracer, budget=budget)
         rewritings = [(r.query, "equivalent") for r in result.rewritings]
-        truncated, stop_reason = result.truncated, result.stats.stop_reason
-        stats = result.stats
+    truncated, stop_reason = result.truncated, result.stats.stop_reason
 
     _write_trace_if_requested(tracer, args)
     if truncated:
@@ -221,9 +220,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
                 for rewriting, flavor in rewritings],
             "truncated": truncated,
             "stop_reason": stop_reason,
+            "stats": result.stats.to_json(),
         }
-        if stats is not None:
-            payload["stats"] = stats.to_json()
         print(json_module.dumps(payload, indent=2))
         return 0 if rewritings else 1
 

@@ -61,7 +61,8 @@ class Repository:
     _cache_store: object | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.views = ViewManager(self.store, constraints=self.constraints)
+        self.views = ViewManager(self.store, constraints=self.constraints,
+                                 metrics=self.metrics)
         self.cache = QueryCache(capacity=self.cache_capacity,
                                 constraints=self.constraints,
                                 metrics=self.metrics)

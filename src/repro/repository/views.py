@@ -53,11 +53,15 @@ class ViewManager:
     store: Store
     views: dict[str, MaterializedView] = field(default_factory=dict)
     constraints: StructuralConstraints | None = None
+    #: Optional :class:`~repro.obs.MetricsRegistry` for the session's
+    #: ``rewrite.*``, ``cache.*`` and ``phase.seconds`` records.
+    metrics: object | None = None
     #: The rewrite session over :meth:`definitions`.
     session: RewriteSession = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.session = RewriteSession(self.definitions(), self.constraints)
+        self.session = RewriteSession(self.definitions(), self.constraints,
+                                      metrics=self.metrics)
 
     def define(self, name: str, definition: Query | str) -> MaterializedView:
         if isinstance(definition, str):

@@ -15,7 +15,7 @@ from .explain import CandidateEvent, Explanation, MappingEvent
 from .rewriter import (CandidateAtom, RewriteResult, RewriteStats, Rewriting,
                        find_all_rewritings, is_rewriting, rewrite,
                        rewrite_single_path, view_instantiations)
-from .contained import (ContainedResult, ContainedRewriting, contained_in,
+from .contained import (ContainedRewriting, contained_in,
                         maximally_contained_rewritings, programs_contained)
 from .constraints import (ChildSpec, Dtd, paper_dtd, parse_dtd,
                           parse_xml_data)
@@ -38,7 +38,7 @@ __all__ = [
     "component_key", "program_key", "intern_condition",
     "RewriteSession", "MemoTable", "DEFAULT_MEMO_SIZE",
     "maximally_contained_rewritings", "programs_contained", "contained_in",
-    "ContainedRewriting", "ContainedResult",
+    "ContainedRewriting",
     "Dtd", "ChildSpec", "parse_dtd", "paper_dtd", "parse_xml_data",
     "DataGuide", "build_dataguide", "dtd_from_dataguide",
 ]

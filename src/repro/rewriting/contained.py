@@ -18,22 +18,21 @@ mapping from some component of ``right``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
 from typing import Iterable, Mapping, Sequence, Union
 
-from ..errors import (BudgetExceededError, ChaseContradictionError,
-                      CompositionError, CyclicPatternError)
+from ..errors import ChaseContradictionError
 from ..logic.subst import Substitution
 from ..tsl.ast import Condition, Query, fresh_variable_factory
 from ..tsl.decompose import decompose_program
-from ..tsl.normalize import path_to_condition, query_paths
-from ..tsl.validate import is_safe
+from ..tsl.normalize import query_paths
 from .chase import StructuralConstraints
-from .equivalence import components_subsumed, prepare_program
+from .equivalence import components_subsumed, minimize, prepare_program
 from .mappings import body_mappings
-from .rewriter import CandidateAtom, _Search
+from .rewriter import (CandidateAtom, RewriteResult, Rewriting, SearchFlags,
+                       _Search)
 from .session import RewriteSession
 
 
@@ -41,9 +40,8 @@ def programs_contained(left: Iterable[Query], right: Iterable[Query],
                        constraints: StructuralConstraints | None = None
                        ) -> bool:
     """Decide ``left ⊆ right`` (results contained on every database)."""
-    session = RewriteSession((), constraints, memo_size=0)
     return components_subsumed(*(
-        decompose_program(prepare_program(rules, session=session))
+        decompose_program(prepare_program(rules, constraints))
         for rules in (left, right)))
 
 
@@ -98,12 +96,9 @@ def partial_view_instantiations(target: Query, session: RewriteSession, *,
 
 
 @dataclass
-class ContainedRewriting:
+class ContainedRewriting(Rewriting):
     """A rewriting whose composition is contained in the query."""
 
-    query: Query
-    composition: list[Query]
-    views_used: frozenset[str]
     is_equivalent: bool
 
     def __str__(self) -> str:
@@ -111,132 +106,110 @@ class ContainedRewriting:
         return f"[{flavor}] {self.query}"
 
 
-@dataclass
-class ContainedResult:
-    """Outcome of :func:`maximally_contained_rewritings`."""
-
-    rewritings: list[ContainedRewriting] = field(default_factory=list)
-    candidates_tested: int = 0
-    truncated: bool = False
-    stop_reason: str | None = None
-
-    def __len__(self) -> int:
-        return len(self.rewritings)
-
-    def __iter__(self):
-        return iter(self.rewritings)
-
-
 def maximally_contained_rewritings(
         query: Query,
         views: Union[Mapping[str, Query], Sequence[Query]],
         constraints: StructuralConstraints | None = None,
         total_only: bool = True, *,
-        tracer=None, budget=None) -> ContainedResult:
+        tracer=None, budget=None) -> RewriteResult:
     """Find the maximally contained rewritings of *query* using *views*.
 
-    Every returned rewriting is sound (its composition is contained in
-    the query); none is strictly contained in another returned one.  When
-    an equivalent rewriting exists it is returned (it dominates), flagged
-    ``is_equivalent``.  A *budget* expiry stops the search; the
-    rewritings accepted so far go through the maximality filter and are
-    returned with ``truncated=True``.  The search runs on a one-shot
-    :class:`~repro.rewriting.session.RewriteSession`; compositions are
-    chased once and kept unminimized, as ``rewrite()`` keeps them.
+    Returns a :class:`~repro.rewriting.rewriter.RewriteResult` of
+    :class:`ContainedRewriting`.  Every returned rewriting is sound (its
+    composition is contained in the query); none is strictly contained
+    in another returned one.  An equivalent rewriting dominates: it is
+    returned alone, flagged ``is_equivalent``.  A *budget* expiry stops
+    the search or the maximality filter; the rewritings not yet dropped
+    are returned, ``truncated``.  Compositions are chased once and kept
+    unminimized, as ``rewrite()`` keeps them.  A contradictory query
+    has no rewriting: the empty answer is maximal.
     """
-    search = _Search(RewriteSession(views, constraints, memo_size=0),
-                     tracer=tracer, budget=budget)
-    tracer = search.tracer
-    result = ContainedResult()
-    accepted: list[tuple[ContainedRewriting, list]] = []
-    with tracer.span("contained_rewrite",
-                     query=query.name or str(query.head)) as span:
-        try:
-            _contained_search(query, search, total_only, result, accepted)
-        except BudgetExceededError as exc:
-            result.truncated = True
-            result.stop_reason = exc.reason or "budget"
-            span.set("truncated", result.stop_reason)
-        with tracer.span("keep_maximal"):
-            result.rewritings = _keep_maximal(accepted)
-        span.add("candidates_tested", result.candidates_tested)
-        span.add("rewritings", len(result.rewritings))
-    return result
+    session = RewriteSession(views, constraints, memo_size=0)
+    flags = SearchFlags(heuristic=False, total_only=total_only)
+    search = _ContainedSearch(session, flags, tracer=tracer, budget=budget)
+    stats = search.stats
+    with search.tracer.span("contained_rewrite",
+                            query=query.name or str(query.head)) as span:
+        search.run(query)
+        if stats.truncated:
+            span.set("truncated", stats.stop_reason)
+        span.add("candidates_tested", stats.candidates_tested)
+        span.add("rewritings", stats.rewritings)
+    return search.result
 
 
-def _contained_search(query: Query, search: _Search, total_only: bool,
-                      result: ContainedResult, accepted: list) -> None:
-    """The relaxed Step-2 search loop on *search*'s state, accumulating
-    into *accepted* each rewriting beside its composition's components.
-    A candidate whose chase or composition fails (cyclic patterns
-    included) is rejected as a whole."""
-    if not search.prepare(query):
-        return  # contradictory query: the empty answer is maximal
-    session, tracer, budget = search.session, search.tracer, search.budget
-    target, target_paths = search.target, search.paths
-    k = len(target_paths)
+class _ContainedSearch(_Search):
+    """The Section 3.4 search with Step 2 relaxed to composition ⊆ query.
 
-    with tracer.span("enumerate_mappings"):
-        atoms = partial_view_instantiations(target, session, budget=budget)
-    if not total_only:
-        atoms.extend(
-            CandidateAtom(path_to_condition(path), frozenset([i]), None)
-            for i, path in enumerate(target_paths))
-
-    for size in range(1, k + 1):
-        for combo in combinations(range(len(atoms)), size):
-            if budget is not None:
-                budget.tick()
-            chosen = [atoms[i] for i in combo]
-            if not any(atom.is_view for atom in chosen):
-                continue
-            body = tuple(atom.condition for atom in chosen)
-            candidate = Query(target.head, body, name=query.name)
-            if not is_safe(candidate):
-                continue
-            result.candidates_tested += 1
-            with tracer.span("candidate",
-                             index=result.candidates_tested - 1):
-                try:
-                    candidate = session.chase(candidate, tracer=tracer,
-                                              budget=budget)
-                    composed, _witness = search.composition(candidate)
-                except (ChaseContradictionError, CompositionError,
-                        CyclicPatternError):
-                    continue
-                if not composed:
-                    continue  # empty composition: contributes nothing
-                components = decompose_program(composed)
-                if not components_subsumed(components, search.components,
-                                           budget=budget):
-                    continue
-                equivalent = components_subsumed(
-                    search.components, components, budget=budget)
-            accepted.append((ContainedRewriting(
-                candidate, composed, frozenset(
-                    c.source for c in candidate.body
-                    if c.source in session.views),
-                equivalent), components))
-
-
-def _keep_maximal(accepted) -> list[ContainedRewriting]:
-    """Drop rewritings strictly contained in another accepted one.
-
-    Of mutually contained rewritings the first is kept.  Every accepted
-    composition is contained in the query, so an equivalent rewriting
-    contains all of them and only the first equivalent one survives.
-    Otherwise each ordered pair's containment is decided at most once.
+    Step 1A offers :func:`partial_view_instantiations`, which cover no
+    query condition, so the covering heuristic is off.  Subsumed-body
+    pruning stays on: a body extending an accepted one has a contained
+    composition, which the maximality filter would drop.  The search
+    stops at its first equivalent rewriting.  ``accepted_components``
+    holds each accepted composition's graph components, in order.
     """
-    first = next((r for r, _ in accepted if r.is_equivalent), None)
-    if first is not None:
-        return [first]
 
-    @cache
-    def contained(index: int, other: int) -> bool:
-        return components_subsumed(accepted[index][1], accepted[other][1])
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.accepted_components: list = []
 
-    return [rewriting for index, (rewriting, _) in enumerate(accepted)
-            if not any(
-                contained(index, other) and (
-                    other < index or not contained(other, index))
-                for other in range(len(accepted)) if other != index)]
+    def view_atoms(self) -> list[CandidateAtom]:
+        with self.tracer.span("enumerate_mappings"):
+            return partial_view_instantiations(self.target, self.session,
+                                               budget=self.budget)
+
+    def accept(self, candidate, rules, witness):
+        """composition ⊆ query accepts; query ⊆ composition flags it
+        ``is_equivalent``.  An empty composition contributes nothing."""
+        if not rules:
+            return None, "empty-composition", None, None
+        components = decompose_program(rules)
+        if not components_subsumed(components, self.components,
+                                   budget=self.budget):
+            return None, "not-contained", None, None
+        self.accepted_components.append(components)
+        equivalent = components_subsumed(self.components, components,
+                                         budget=self.budget)
+        return (ContainedRewriting(candidate, rules,
+                                   self.views_used(candidate), equivalent),
+                "accepted", None, None)
+
+    def done(self, rewriting) -> bool:
+        return rewriting.is_equivalent
+
+    def finish(self) -> None:
+        """Drop rewritings strictly contained in another accepted one.
+
+        Of mutually contained rewritings the first is kept; an
+        equivalent one, accepted last, contains every other.  Otherwise
+        each ordered pair's containment is decided at most once, from
+        the containing side's minimized core (equivalent, without the
+        redundant view-body copies) into the other's chased components.
+        Drops apply at once: a budget expiry keeps the rest.
+        """
+        rewritings, budget = self.result.rewritings, self.budget
+        accepted = list(zip(rewritings, self.accepted_components))
+
+        @cache
+        def core(index: int) -> list:
+            return decompose_program([
+                minimize(rule, budget=budget)
+                for rule in accepted[index][0].composition])
+
+        @cache
+        def contained(index: int, other: int) -> bool:
+            return components_subsumed(accepted[index][1], core(other),
+                                       budget=budget)
+
+        with self.tracer.span("keep_maximal"):
+            if rewritings and rewritings[-1].is_equivalent:
+                del rewritings[:-1]
+                self.stats.rewritings = 1
+                return
+            for index, (rewriting, _) in enumerate(accepted):
+                if any(contained(index, other) and (
+                        other < index or not contained(other, index))
+                       for other in range(len(accepted)) if other != index):
+                    rewritings[:] = [r for r in rewritings
+                                     if r is not rewriting]
+                    self.stats.rewritings -= 1

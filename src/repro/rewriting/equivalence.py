@@ -80,35 +80,19 @@ def components_subsumed(left: Sequence[ComponentQuery],
 def programs_equivalent(left: Iterable[Query], right: Iterable[Query],
                         constraints: StructuralConstraints | None = None,
                         *, tracer=None, budget=None, session=None) -> bool:
-    """Theorem 4.3: decompose both unions and test mutual mappings.
-
-    *session* memoizes the chase under its own constraints (a one-shot
-    session over *constraints* when None).  The ``equivalence`` span
-    counts the graph components of both sides.
-    """
-    tracer = tracer or NULL_TRACER
-    session = _session_for(constraints, session)
-    with tracer.span("equivalence") as span:
-        left_components = decompose_program(prepare_program(
-            left, budget=budget, session=session))
-        right_components = decompose_program(prepare_program(
-            right, budget=budget, session=session))
-        span.add("components",
-                 len(left_components) + len(right_components))
-        outcome = components_subsumed(
-            left_components, right_components, budget=budget) \
-            and components_subsumed(right_components, left_components,
-                                    budget=budget)
-        span.set("equivalent", outcome)
-        return outcome
+    """Theorem 4.3: decompose both unions and test mutual mappings --
+    :func:`equivalence_obstacle` finds no unmapped component."""
+    return equivalence_obstacle(left, right, constraints, tracer=tracer,
+                                budget=budget, session=session) is None
 
 
 def equivalence_obstacle(left: Iterable[Query], right: Iterable[Query],
                          constraints: StructuralConstraints | None = None,
-                         *, budget=None, session=None) -> dict | None:
+                         *, tracer=None, budget=None,
+                         session=None) -> dict | None:
     """Why :func:`programs_equivalent` says False: the unmapped component.
 
-    Re-runs the Theorem 4.3 test and returns the first graph component
+    Runs the Theorem 4.3 test and returns the first graph component
     (top / member / object rule) that no component of the other side
     maps onto::
 
@@ -119,25 +103,29 @@ def equivalence_obstacle(left: Iterable[Query], right: Iterable[Query],
     ``unmapped_side="left"`` means a *left* component is not covered by
     any right component (left is not contained in right), and
     symmetrically.  Returns None when the programs are equivalent.
-    This is a diagnostic (EXPLAIN) path: it redoes the decomposition
-    and mapping searches rather than touching the hot path.  *session*
-    and *constraints* are as for :func:`programs_equivalent`.
+    *session* memoizes the chase under its own constraints (a one-shot
+    session over *constraints* when None).  The ``equivalence`` span
+    counts the graph components of both sides.
     """
+    tracer = tracer or NULL_TRACER
     session = _session_for(constraints, session)
-    left_components = decompose_program(prepare_program(
-        left, budget=budget, session=session))
-    right_components = decompose_program(prepare_program(
-        right, budget=budget, session=session))
-    for side, components, others in (
-            ("left", left_components, right_components),
-            ("right", right_components, left_components)):
-        for p in components:
-            if not any(component_mapping(t, p, budget=budget) is not None
-                       for t in others):
-                return {"unmapped_side": side,
-                        "component_kind": p.kind,
-                        "component": str(p)}
-    return None
+    with tracer.span("equivalence") as span:
+        left_components, right_components = (
+            decompose_program(prepare_program(rules, budget=budget,
+                                              session=session))
+            for rules in (left, right))
+        span.add("components",
+                 len(left_components) + len(right_components))
+        obstacle = next((
+            {"unmapped_side": side, "component_kind": p.kind,
+             "component": str(p)}
+            for side, components, others in (
+                ("left", left_components, right_components),
+                ("right", right_components, left_components))
+            for p in components
+            if not components_subsumed([p], others, budget=budget)), None)
+        span.set("equivalent", obstacle is None)
+        return obstacle
 
 
 def equivalent(left: Query, right: Query,

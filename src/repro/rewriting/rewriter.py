@@ -27,7 +27,7 @@ remains sound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from ..errors import (BudgetExceededError, ChaseContradictionError,
@@ -337,11 +337,10 @@ def rewrite(query: Query,
                 search = _Search(session, flags, tracer=tracer,
                                  budget=budget, explain=explain)
                 result = search.result
-                try:
-                    search.run(query)
-                except BudgetExceededError as exc:
-                    result.stats.truncated = True
-                    result.stats.stop_reason = exc.reason or "budget"
+                if not search.run(query):
+                    raise ChaseContradictionError(
+                        "the query body contradicts the object-id key "
+                        "dependency")
                 if result.stats.truncated:
                     span.set("truncated", result.stats.stop_reason)
                 span.add("candidates_tested", result.stats.candidates_tested)
@@ -372,6 +371,10 @@ class _Search:
     the chased query ``target``, its ``paths``, the
     :class:`~repro.rewriting.witness.Step2Target` ``step2`` and the
     graph ``components`` of the query side of the Theorem 4.3 test.
+
+    The contained search (:mod:`repro.rewriting.contained`) runs the
+    same loop, overriding :meth:`view_atoms`, :meth:`accept`,
+    :meth:`done` and :meth:`finish`.
     """
 
     def __init__(self, session: RewriteSession,
@@ -389,38 +392,41 @@ class _Search:
         """Chase *query* into the Step 2 target side.
 
         False when its body contradicts the object-id key dependency.
-        The query side is prepared the way the Theorem 4.3 test prepares
+        The query is chased once, the way the Theorem 4.3 test prepares
         a program, so its components are those the test would compute.
         """
-        session, budget = self.session, self.budget
-        prepared = prepare_program([query], budget=budget, session=session)
+        prepared = prepare_program([query], budget=self.budget,
+                                   session=self.session)
         if not prepared:
             return False
         self.target = prepared[0]
         self.paths = query_paths(self.target)
-        rules = prepare_program([self.target], budget=budget,
-                                session=session)
-        self.step2 = Step2Target(rules[0])
-        self.components = decompose_program(rules)
+        self.step2 = Step2Target(self.target)
+        self.components = decompose_program(prepared)
         return True
 
-    def run(self, query: Query) -> None:
-        """The search loop: Step 1A, then Steps 1B, 1C and 2 per
-        candidate, in order of size."""
-        heuristic, _, prune_subsumed, first_only, max_candidates = self.flags
+    def run(self, query: Query) -> bool:
+        """The search: Step 1A, then Steps 1B, 1C and 2 per candidate,
+        in order of size, then :meth:`finish`.
+
+        False when the query body contradicts the object-id key
+        dependency.  A budget expiry anywhere stops the run, leaving
+        the rewritings kept so far and ``stats.truncated`` set.
+        """
+        heuristic, _, prune_subsumed, _, max_candidates = self.flags
         explain, stats = self.explain, self.stats
-        with self.tracer.span("prepare"):
-            satisfiable = self.prepare(query)
-        if not satisfiable:
-            raise ChaseContradictionError(
-                "the query body contradicts the object-id key dependency")
-        target, target_paths = self.target, self.paths
-        atoms = self.atoms()
-        k = len(target_paths)
-        all_indices = frozenset(range(k))
-        accepted_bodies: list[frozenset[Condition]] = []
-        for size in range(1, k + 1):
-            for combo in combinations(range(len(atoms)), size):
+        try:
+            with self.tracer.span("prepare"):
+                if not self.prepare(query):
+                    return False
+            target, target_paths = self.target, self.paths
+            atoms = self.atoms()
+            k = len(target_paths)
+            all_indices = frozenset(range(k))
+            accepted_bodies: list[frozenset[Condition]] = []
+            for combo in chain.from_iterable(
+                    combinations(range(len(atoms)), size)
+                    for size in range(1, k + 1)):
                 if self.budget is not None:
                     self.budget.tick()
                 chosen = [atoms[i] for i in combo]
@@ -467,7 +473,7 @@ class _Search:
                     self._record(chosen, "skipped-max-candidates",
                                  f"candidate cap of {max_candidates} "
                                  "reached; search stopped")
-                    return
+                    break
                 stats.candidates_tested += 1
                 with self.tracer.span("candidate",
                                       index=stats.candidates_tested - 1,
@@ -482,18 +488,27 @@ class _Search:
                     accepted_bodies.append(frozenset(body))
                     self.result.rewritings.append(accepted)
                     stats.rewritings += 1
-                    if first_only:
-                        return
+                    if self.done(accepted):
+                        break
+            self.finish()
+        except BudgetExceededError as exc:
+            stats.truncated = True
+            stats.stop_reason = exc.reason or "budget"
+        return True
+
+    def done(self, rewriting: Rewriting) -> bool:
+        """The stop rule, asked after each accepted *rewriting*."""
+        return self.flags.first_only
+
+    def finish(self) -> None:
+        """Runs after the loop; every equivalent rewriting is kept."""
 
     def atoms(self) -> list[CandidateAtom]:
-        """Steps 1A + 1B's building blocks: the view instantiations of
-        the target, then (unless ``total_only``) its own conditions,
-        with equal conditions merged."""
+        """Steps 1A + 1B's building blocks: the view atoms of the
+        target, then (unless ``total_only``) its own conditions, with
+        equal conditions merged."""
         explain, stats = self.explain, self.stats
-        atoms = view_instantiations(
-            self.target, self.session.views, tracer=self.tracer,
-            budget=self.budget, session=self.session, explain=explain,
-            stats=stats)
+        atoms = self.view_atoms()
         stats.mappings = len(atoms)
         if not self.flags.total_only:
             atoms.extend(
@@ -518,6 +533,13 @@ class _Search:
                              counts[atom.condition])
         return list(merged.values())
 
+    def view_atoms(self) -> list[CandidateAtom]:
+        """Step 1A: the view instantiations of the target (Lemma 5.1)."""
+        return view_instantiations(
+            self.target, self.session.views, tracer=self.tracer,
+            budget=self.budget, session=self.session, explain=self.explain,
+            stats=self.stats)
+
     def _record(self, chosen, verdict, reason=None, detail=None) -> None:
         """The EXPLAIN event of the candidate enumerated last."""
         if self.explain is not None:
@@ -533,11 +555,9 @@ class _Search:
                                   dict | None]:
         """Steps 1C + 2 for one candidate, against the prepared target.
 
-        Returns ``(rewriting_or_None, verdict, reason, detail)``; the
-        costly diagnosis of an equivalence failure runs only under
-        EXPLAIN.  The Step 1A *atoms* the candidate was built from give
-        Step 2 its witness (see :meth:`composition`).  The accepted
-        rewriting keeps the chased composition rules unminimized.
+        Returns ``(rewriting_or_None, verdict, reason, detail)``.  The
+        Step 1A *atoms* the candidate was built from give Step 2 its
+        witness (see :meth:`composition`), which :meth:`accept` gets.
         """
         session, tracer, budget = self.session, self.tracer, self.budget
         try:
@@ -551,11 +571,22 @@ class _Search:
             self.stats.candidates_failed_composition += 1
             return None, "failed-composition", str(exc), None
         self.stats.composition_rules += len(rules)
+        return self.accept(candidate, rules, witness)
+
+    def views_used(self, candidate: Query) -> frozenset[str]:
+        return frozenset(c.source for c in candidate.body
+                         if c.source in self.session.views)
+
+    def accept(self, candidate: Query, rules: list[Query],
+               witness: Step2Witness | None
+               ) -> tuple[Rewriting | None, str, str | None, dict | None]:
+        """Step 2: the composition *rules* must be equivalent to the
+        query.  A failure is diagnosed only under EXPLAIN; the accepted
+        rewriting keeps the chased rules unminimized."""
         if not self._equivalent(decompose_program(rules), witness):
             reason, detail = self._equivalence_failure_reason(rules)
             return None, "failed-equivalence", reason, detail
-        rewriting = Rewriting(candidate, rules, frozenset(
-            c.source for c in candidate.body if c.source in session.views))
+        rewriting = Rewriting(candidate, rules, self.views_used(candidate))
         return (rewriting, "accepted",
                 f"composition is equivalent to the query "
                 f"({len(rules)} composition rule(s))"

@@ -214,7 +214,7 @@ class RewriteSession:
         self.views = _as_view_dict(views)
         self.constraints = constraints
         self.metrics = metrics
-        #: view name -> (chased body, label signature of that body)
+        #: name -> (chased body, signature), or (contradiction, None)
         self._prepared_views: dict[str, tuple] = {}
         self._signature_index = None
         # Guards _prepared_views and _signature_index (the memo tables
@@ -245,11 +245,12 @@ class RewriteSession:
         """The chased + normalized form of view *name*, computed once.
 
         Raises :class:`~repro.errors.ChaseContradictionError` when the
-        view's body contradicts the key dependency (nothing is kept
-        then).  The chase runs outside the session lock: two threads
-        may race to prepare the same view, but the chase is
-        deterministic and ``setdefault`` keeps the first copy, so every
-        caller shares one object.
+        view's body contradicts the key dependency; the contradiction is
+        kept too, and re-raised without a chase on every later call.
+        The chase runs outside the session lock: two threads may race
+        to prepare the same view, but the chase is deterministic and
+        ``setdefault`` keeps the first copy, so every caller shares one
+        object.
         """
         return self._prepare(name, tracer, budget)[0]
 
@@ -258,11 +259,17 @@ class RewriteSession:
             prepared = self._prepared_views.get(name)
         if prepared is None:
             from ..analysis.viewset.signature import view_signature
-            query = chase(self.views[name], self.constraints,
-                          tracer=tracer, budget=budget)
+            try:
+                query = chase(self.views[name], self.constraints,
+                              tracer=tracer, budget=budget)
+            except ChaseContradictionError as exc:
+                prepared = (exc, None)
+            else:
+                prepared = (query, view_signature(query))
             with self._lock:
-                prepared = self._prepared_views.setdefault(
-                    name, (query, view_signature(query)))
+                prepared = self._prepared_views.setdefault(name, prepared)
+        if isinstance(prepared[0], ChaseContradictionError):
+            raise ChaseContradictionError(str(prepared[0]))
         return prepared
 
     def signature_index(self, *, tracer=None, budget=None):

@@ -199,15 +199,17 @@ def test_memo_oracle_compares_seeded_corpus(monkeypatch):
 
 
 def test_memo_reference_that_memoizes_is_caught(monkeypatch):
-    # Mutation: clamp every memo table to capacity >= 1, so the
-    # zero-capacity reference run serves hits and the memo oracle's
-    # comparison would be memoized against memoized.
+    # Mutation: give every zero-capacity memo table the default
+    # capacity, so the reference run serves hits and the memo oracle's
+    # comparison would be memoized against memoized.  (A capacity of 1
+    # serves no hit once the search chases its target only once.)
     from repro.rewriting import session as session_mod
     real_init = session_mod.MemoTable.__init__
 
     def clamped(self, name, capacity=session_mod.DEFAULT_MEMO_SIZE,
                 metrics=None):
-        real_init(self, name, max(1, capacity), metrics)
+        real_init(self, name, capacity or session_mod.DEFAULT_MEMO_SIZE,
+                  metrics)
 
     monkeypatch.setattr(session_mod.MemoTable, "__init__", clamped)
     report = run_fuzz(FuzzConfig(seed=31, iterations=4,

@@ -91,6 +91,17 @@ class TestAnswering:
         assert snapshot["counters"]["rewrite.runs"] >= 1
         assert "phase.seconds{phase=rewrite}" in snapshot["histograms"]
 
+    def test_registry_records_the_views_rewrites(self, biblio_db):
+        # The view manager's session holds the registry too.
+        registry = MetricsRegistry()
+        repo = Repository.from_database(biblio_db, metrics=registry)
+        repo.define_view("sigmod", conference_view("sigmod", "sigmod"))
+        report = repo.query_with_report(sigmod_97_query())
+        assert report.method == "views"
+        snapshot = registry.snapshot()
+        assert snapshot["counters"]["rewrite.runs"] == 1
+        assert "phase.seconds{phase=rewrite}" in snapshot["histograms"]
+
     def test_direct_then_cache(self, repo):
         query = conference_query("vldb", 1998)
         first = repo.query_with_report(query, use_views=False)

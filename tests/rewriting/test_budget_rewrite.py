@@ -115,7 +115,7 @@ class TestContainedBudget:
         outcome = maximally_contained_rewritings(
             query, views, budget=Budget(max_steps=10))
         assert outcome.truncated is True
-        assert outcome.stop_reason == "steps"
+        assert outcome.stats.stop_reason == "steps"
 
 
 class TestFailureCounters:

@@ -12,9 +12,10 @@ from repro.errors import CyclicPatternError
 from repro.obs import Budget
 from repro.oem import build_database, obj
 from repro.oracle import PROFILES, generate_case
-from repro.rewriting import (RewriteSession, contained_in,
+from repro.rewriting import (RewriteResult, RewriteSession, contained_in,
                              maximally_contained_rewritings, minimize,
                              prepare_program, programs_contained, rewrite)
+from repro.rewriting import contained as contained_mod
 from repro.rewriting.rewriter import _Search
 from repro.tsl import evaluate, parse_query
 
@@ -139,6 +140,100 @@ class TestMaximallyContained:
                                                  views)
         assert [str(r) for r in outcome] == [
             "[equivalent] <f(P) person Y> :- <h(P) person Y>@Good"]
+
+
+#: SIGMOD publications, SIGMOD 1997 publications, and a VLDB query the
+#: views can answer only in part.  Every accepted composition repeats
+#: the views' ``booktitle sigmod`` paths, so mapping one unminimized
+#: composition into another is costly.
+SIGMOD_VIEWS = {
+    "S": "<v(P) pub {<c(P,L,W) L W>}> :- "
+         "<P pub {<B booktitle sigmod>}>@db AND <P pub {<X L W>}>@db",
+    "W": "<w(P) pub {<d(P,L,W) L W>}> :- "
+         "<P pub {<B booktitle sigmod>}>@db AND "
+         "<P pub {<Y year 1997>}>@db AND <P pub {<X L W>}>@db",
+}
+VLDB_QUERY = ("<f(P) r {<t(P) title T> <y(P) year Y>}> :- "
+              "<P pub {<X title T>}>@db AND <P pub {<Z year Y>}>@db AND "
+              "<P pub {<B booktitle vldb>}>@db")
+
+
+def sigmod_inputs():
+    return parse_query(VLDB_QUERY), {
+        name: parse_query(text, name=name)
+        for name, text in SIGMOD_VIEWS.items()}
+
+
+class TestOneSearchLoop:
+    def test_result_is_a_rewrite_result(self, sigmod_view,
+                                        all_titles_query):
+        outcome = maximally_contained_rewritings(all_titles_query,
+                                                 {"V": sigmod_view})
+        assert isinstance(outcome, RewriteResult)
+        assert outcome.stats.rewritings == len(outcome) == 1
+        assert outcome.stats.candidates_tested >= 1
+        assert not outcome.truncated and outcome.stats.stop_reason is None
+
+    def test_stops_at_the_first_equivalent_rewriting(self):
+        # Unpruned and unstopped, this case tested 7,161 candidates.
+        case = generate_case(19, PROFILES["dag"])
+        outcome = maximally_contained_rewritings(
+            case.query, case.views, case.constraints)
+        assert outcome.stats.candidates_tested == 1
+        assert [r.is_equivalent for r in outcome] == [True]
+
+    def test_bodies_extending_an_accepted_one_are_pruned(self,
+                                                         sigmod_view):
+        # The title atom alone is accepted (contained, not equivalent);
+        # any second condition would only narrow it.
+        query = parse_query("<f(P) title T> :- <P pub {<X title T>}>@db "
+                            "AND <P pub {<Y L W>}>@db")
+        outcome = maximally_contained_rewritings(query, {"V": sigmod_view})
+        assert outcome.stats.candidates_pruned_subsumed == 1
+        assert [str(r) for r in outcome] == [
+            "[contained] <f(P) title T> :- "
+            "<v(P) pub {<c(P,title,T) title T>}>@V"]
+
+
+class TestDominanceFilter:
+    @pytest.mark.parametrize("total_only", [True, False])
+    def test_returns_within_the_deadline(self, total_only):
+        query, views = sigmod_inputs()
+        deadline_ms = 1000
+        started = time.monotonic()
+        outcome = maximally_contained_rewritings(
+            query, views, total_only=total_only,
+            budget=Budget(deadline_ms=deadline_ms))
+        assert (time.monotonic() - started) * 1e3 < 1.5 * deadline_ms
+        assert not outcome.truncated
+        assert [r.views_used for r in outcome] == [frozenset({"S"})]
+        assert not outcome.rewritings[0].is_equivalent
+
+    def test_expiry_in_the_filter_keeps_the_rest(self, monkeypatch):
+        query, views = sigmod_inputs()
+        seen = {}
+        real = contained_mod._ContainedSearch.finish
+
+        def recording(search):
+            seen["steps"] = search.budget.steps
+            seen["accepted"] = [str(r) for r in search.result]
+            real(search)
+
+        monkeypatch.setattr(contained_mod._ContainedSearch, "finish",
+                            recording)
+        full = maximally_contained_rewritings(query, views,
+                                              total_only=False,
+                                              budget=Budget())
+        assert len(seen["accepted"]) > len(full) == 1
+        monkeypatch.undo()
+        # The search's own steps fit; the filter's first one does not.
+        outcome = maximally_contained_rewritings(
+            query, views, total_only=False,
+            budget=Budget(max_steps=seen["steps"]))
+        assert outcome.truncated
+        assert outcome.stats.stop_reason == "steps"
+        assert [str(r) for r in outcome] == seen["accepted"]
+        assert outcome.stats.rewritings == len(seen["accepted"])
 
 
 #: A view whose partial instantiation ``O1 = O6`` nests an oid under

@@ -8,12 +8,12 @@ import pytest
 from repro.errors import ChaseContradictionError
 from repro.obs import MetricsRegistry
 from repro.rewriting import (Explanation, MemoTable, RewriteSession, chase,
-                             query_key, rewrite)
+                             paper_dtd, query_key, rewrite)
 from repro.rewriting.session import _MISS
 from repro.tsl import parse_query
 from repro.workloads import (condition_view, conference_view,
-                             k_conditions_query, query_q3, sigmod_97_query,
-                             view_v1)
+                             k_conditions_query, query_q3, query_q5,
+                             sigmod_97_query, view_v1)
 
 
 def fingerprint(result):
@@ -129,6 +129,54 @@ class TestSessionChase:
                    for table in stats.values())
         assert stats["rewrite"]["misses"] == 2
         assert stats["chase"]["misses"] > 0
+
+
+@pytest.fixture
+def chase_calls(monkeypatch):
+    """The queries the session hands to the chase, in order."""
+    from repro.rewriting import session as session_mod
+    calls = []
+
+    def counting(query, *args, **kwargs):
+        calls.append(query)
+        return chase(query, *args, **kwargs)
+
+    monkeypatch.setattr(session_mod, "chase", counting)
+    return calls
+
+
+class TestChaseCalls:
+    def test_one_search_chases_its_query_once(self, chase_calls):
+        # Q5's chase infers a label, so a second chase of the chased
+        # target would miss any memo; the search must not run one.
+        session = RewriteSession({"V1": view_v1()}, paper_dtd(),
+                                 memo_size=0)
+        result = session.rewrite(query_q5())
+        assert len(result) == 1
+        target = chase(query_q5(), paper_dtd())
+        assert target != query_q5()
+        assert target not in chase_calls
+        # The query, the view, each candidate and each composition rule.
+        assert len(chase_calls) == 1 + 1 + result.stats.candidates_tested \
+            + result.stats.composition_rules
+
+    def test_contradictory_view_is_chased_once(self, chase_calls):
+        from tests.rewriting.test_rewriter import (PERSON_QUERY,
+                                                   UNSATISFIABLE_VIEWS)
+        views = {name: parse_query(text, name=name)
+                 for name, text in UNSATISFIABLE_VIEWS.items()}
+        session = RewriteSession(views)
+        for text in (PERSON_QUERY, PERSON_QUERY.replace("Y", "Z"),
+                     "<f(P) who Y> :- <P person Y>@db"):
+            [found] = session.rewrite(parse_query(text))
+            assert found.views_used == {"Good"}
+        assert chase_calls.count(views["Bad"]) == 1
+        with pytest.raises(ChaseContradictionError):
+            session.prepared_view("Bad")
+        session.update_views(views)
+        with pytest.raises(ChaseContradictionError):
+            session.prepared_view("Bad")
+        assert chase_calls.count(views["Bad"]) == 2
 
 
 class TestSessionTables:

@@ -246,6 +246,25 @@ class TestRewriteObservability:
                  for line in trace.read_text().splitlines()}
         assert "contained_rewrite" in names
 
+    def test_contained_json_carries_stats(self, tmp_path, view_file,
+                                          capsys):
+        query = tmp_path / "q3.tsl"
+        query.write_text("<f(P) title T> :- <P pub {<X title T>}>@db")
+        assert main(["rewrite", str(query), "--view", f"V={view_file}",
+                     "--contained", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [r["flavor"] for r in data["rewritings"]] == ["contained"]
+        assert data["stats"]["candidates_tested"] >= 1
+        assert data["truncated"] is False
+
+    def test_contained_rejects_max_candidates(self, tmp_path, view_file,
+                                              capsys):
+        query = tmp_path / "q3.tsl"
+        query.write_text("<f(P) title T> :- <P pub {<X title T>}>@db")
+        assert main(["rewrite", str(query), "--view", f"V={view_file}",
+                     "--contained", "--max-candidates", "3"]) == 2
+        assert "--max-candidates" in capsys.readouterr().err
+
 
 class TestImportXml:
     def test_stdout(self, tmp_path, capsys):
