@@ -337,40 +337,3 @@ def program_key(rules: Iterable[Query]) -> str:
     """A stable hash of a union of rules, order-independent."""
     return _digest("|".join(sorted(query_key(rule) for rule in rules)))
 
-
-# --------------------------------------------------------------------------
-# Rebasing memoized results between alpha-equivalent variable spaces
-# --------------------------------------------------------------------------
-
-def rebase(result: Query, stored: Canonical, probe: Canonical) -> Query:
-    """Translate *result* from *stored*'s variable space into *probe*'s.
-
-    ``stored`` and ``probe`` must have equal canonical queries (the memo
-    key matched).  Variables of *result* in ``stored.forward``'s domain
-    are mapped through the canonical form into *probe*'s names; variables
-    the pipeline introduced afterwards (e.g. the chase's fresh ``W_n``)
-    are kept when they cannot collide with a probe variable and renamed
-    to fresh ones otherwise.
-    """
-    inverse_probe = {canon: orig for orig, canon in probe.forward.items()}
-    renaming: dict[Variable, Variable] = {}
-    for orig, canon in stored.forward.items():
-        renaming[orig] = inverse_probe[canon]
-    taken = set(inverse_probe.values())
-    counter = 0
-    extras = sorted(
-        (v for v in result.all_variables() if v not in renaming),
-        key=lambda v: v.name)
-    for variable in extras:
-        if variable not in taken:
-            renaming[variable] = variable
-            taken.add(variable)
-            continue
-        while True:
-            counter += 1
-            candidate = Variable(f"W_r{counter}")
-            if candidate not in taken:
-                renaming[variable] = candidate
-                taken.add(candidate)
-                break
-    return result.substitute(Substitution(renaming))

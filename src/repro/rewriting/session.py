@@ -8,21 +8,21 @@ every view and re-runs the full exponential search on every call; a
 
 * **prepared views** -- each view is chased + normalized once per
   session and reused by every ``rewrite()`` call;
-* **memo tables** -- two bounded (LRU) caches, keyed on the canonical
-  hashes of :mod:`~repro.rewriting.canon`: ``chase`` (every ``chase()``
-  the pipeline runs: queries, candidates and composition rules) and
-  ``rewrite`` (whole ``rewrite()`` results).  The per-phase work in
-  between (Step 1A, decomposition, the Step 2 verdict) is recomputed on
-  every search: the ``rewrite`` table answers exact repeats before it
-  would be reached, and requests that differ by one constant never
-  share a key.
+* **memo tables** -- two bounded (LRU) caches: ``chase`` (every
+  ``chase()`` the pipeline runs: queries, candidates and composition
+  rules), keyed by the query itself, and ``rewrite`` (whole
+  ``rewrite()`` results), keyed on the canonical hash of
+  :mod:`~repro.rewriting.canon` and the search flags.  The per-phase
+  work in between (Step 1A, decomposition, the Step 2 verdict) is
+  recomputed on every search: the ``rewrite`` table answers exact
+  repeats before it would be reached, and requests that differ by one
+  constant never share a key.
 
-Memo keys are canonical, so queries differing only in variable spelling
-or conjunct order share a slot; a hit is served directly when the
-stored query is structurally identical to the probe and *rebased*
-(renamed into the probe's variable space) for the chase table
-otherwise.  Truncated (budget-stopped) results are never
-memoized.  Both tables export ``cache.{hits,misses,evictions}``
+A hit is served only for the very query that was stored: a ``rewrite``
+entry records its query and misses for an alpha-variant sharing its
+canonical key, so every memoized answer is byte-identical to the one a
+``memo_size=0`` session computes.  Truncated (budget-stopped) results
+are never memoized.  Both tables export ``cache.{hits,misses,evictions}``
 counters -- aggregate and per-table -- through a
 :class:`~repro.obs.metrics.MetricsRegistry`.
 
@@ -62,7 +62,7 @@ from typing import Mapping, Sequence, Union
 from ..errors import ChaseContradictionError, RewritingError
 from ..obs.metrics import PHASE_SECONDS
 from ..tsl.ast import Query
-from .canon import canonicalize, rebase
+from .canon import canonicalize
 from .chase import StructuralConstraints, chase
 
 #: Default per-table memo capacity.
@@ -304,27 +304,22 @@ class RewriteSession:
     def chase(self, query: Query, *, tracer=None, budget=None) -> Query:
         """Memoized :func:`~repro.rewriting.chase.chase`.
 
-        Contradictions are memoized too (they are a property of the
-        query, not of the run).  A hit whose stored query differs only
-        by renaming is rebased into the probe's variable space.
+        Keyed by the query itself, so a hit is the chase of this very
+        query and equals a fresh chase; an alpha-variant is chased on
+        its own.  Contradictions are memoized too (they are a property
+        of the query, not of the run).
         """
-        probe = canonicalize(query)
-        value = self._chase.get(probe.key)
-        if value is not _MISS:
-            original, stored, outcome = value
-            if isinstance(outcome, ChaseContradictionError):
-                raise ChaseContradictionError(str(outcome))
-            if original == query:
-                return outcome
-            return rebase(outcome, stored, probe)
-        try:
-            result = chase(query, self.constraints, tracer=tracer,
-                           budget=budget)
-        except ChaseContradictionError as exc:
-            self._chase.put(probe.key, (query, probe, exc))
-            raise
-        self._chase.put(probe.key, (query, probe, result))
-        return result
+        outcome = self._chase.get(query)
+        if outcome is _MISS:
+            try:
+                outcome = chase(query, self.constraints, tracer=tracer,
+                                budget=budget)
+            except ChaseContradictionError as exc:
+                outcome = exc
+            self._chase.put(query, outcome)
+        if isinstance(outcome, ChaseContradictionError):
+            raise ChaseContradictionError(str(outcome))
+        return outcome
 
     # -- whole-result memoization --------------------------------------------
 

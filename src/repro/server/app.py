@@ -43,6 +43,17 @@ worker.  A search truncated by its deadline or step budget also maps to
 body -- the *partial-result contract*: a 408 body is trustworthy as far
 as it goes.
 
+**The hit path.**  The loop keeps the last ``DECODED_REQUESTS``
+decoded ``/rewrite`` and ``/explain`` bodies, keyed by ``(path, body
+bytes)`` and filled from what the workers decoded; a body that fails to
+decode is never kept.  A repeated body whose configuration has a live
+session and whose answer is in that session's result memo is answered
+on the loop itself -- the same budget check, counters, recorder entry
+and EXPLAIN replay as on a worker, without the thread hop or a second
+decode.  Misses, bodies not seen before, configurations without a live
+session, and ``/evaluate`` run on the pool; no search ever runs on the
+loop.
+
 The HTTP implementation is deliberately minimal (stdlib-only
 HTTP/1.1 with keep-alive and Content-Length framing); the interesting
 machinery is the pool behind it.
@@ -51,11 +62,13 @@ machinery is the pool behind it.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import re
 import sys
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from ..errors import (BudgetExceededError, ChaseContradictionError,
@@ -70,8 +83,7 @@ from ..oem.serialize import database_to_json
 from ..rewriting import Explanation
 from ..rewriting.canon import query_key
 from ..tsl import print_query
-from .pool import (DEFAULT_MAX_SESSIONS, DEFAULT_WORKERS, SessionPool,
-                   config_key)
+from .pool import DEFAULT_MAX_SESSIONS, DEFAULT_WORKERS, SessionPool
 from .schemas import (SERVE_SCHEMA_VERSION, BadRequestError,
                       EvaluateRequest, RewriteRequest)
 
@@ -84,6 +96,11 @@ REASONS = {
     413: "Payload Too Large", 422: "Unprocessable Entity",
     429: "Too Many Requests", 500: "Internal Server Error",
 }
+
+#: Request bodies whose decoded form the event loop keeps (LRU), and
+#: the largest body it keeps one for.
+DECODED_REQUESTS = 256
+DECODED_BODY_BYTES = 64 * 1024
 
 #: Budget stop reasons that map to the 408 partial-result contract.
 _BUDGET_REASONS = ("deadline", "steps", "budget")
@@ -125,8 +142,9 @@ class RequestContext:
 
     Carries the (assigned or client-supplied) request id, the
     ``traceparent`` trace id, and the per-request tracer whose span
-    tree stitches queued -> rewrite -> chase phases together.  Workers
-    fill in the provenance fields (config/query keys, memo disposition,
+    tree stitches queued -> rewrite -> chase phases together.  The code
+    answering the request (a worker, or the loop for a memo hit) fills
+    in the provenance fields (config/query keys, memo disposition,
     truncation) that the flight recorder and access log consume.
 
     The tracer is single-threaded by design; the event loop and the
@@ -202,6 +220,10 @@ class ReproServer:
             enabled=self.config.recorder)
         self._access_log = None
         self._in_flight = 0
+        #: (path, body) -> decoded RewriteRequest; touched only by the
+        #: event loop, so it needs no lock.
+        self._decoded: OrderedDict[tuple[str, bytes], RewriteRequest] = \
+            OrderedDict()
         self._server: asyncio.AbstractServer | None = None
         self.port: int | None = None
 
@@ -570,7 +592,14 @@ class ReproServer:
 
     async def _admit(self, path: str, body: bytes,
                      ctx: RequestContext) -> tuple[int, bytes, str]:
-        """Load-shed, start the admission-time budget, and dispatch."""
+        """Load-shed, start the admission-time budget, and dispatch.
+
+        A ``/rewrite`` or ``/explain`` body seen before is not decoded
+        again: the loop keeps the decoded request by ``(path, body)``.
+        When the pool holds its session and the session memo holds its
+        answer, the loop answers it without a worker (a replay, never a
+        search); everything else runs on the pool.
+        """
         if self._in_flight >= self.config.max_pending:
             self.registry.increment("server.shed")
             return 429, _json_bytes(
@@ -578,81 +607,110 @@ class ReproServer:
                            f"server over capacity "
                            f"({self._in_flight} requests in flight); "
                            f"retry later"}}), "application/json"
-        try:
-            data = json.loads(body.decode("utf-8")) if body else None
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return 400, _json_bytes(
-                {"error": {"message": f"request body is not valid "
-                                      f"JSON: {exc}"}}), \
-                "application/json"
-        budget = self._request_budget(data)
-        handler = {"/rewrite": self._do_rewrite,
-                   "/explain": self._do_explain,
-                   "/evaluate": self._do_evaluate}[path]
+        explain_only = path == "/explain"
+        decoded_key = (path, body)
+        request = self._decoded.get(decoded_key)
+        if request is not None:
+            self._decoded.move_to_end(decoded_key)
+            budget = self._request_budget(request.budget_ms,
+                                          request.max_steps)
+            session = self.pool.live_session(request.config_key)
+            if session is not None and session.peek_result(
+                    request.query, request.flags,
+                    need_explanation=request.explain) is not None:
+                status, payload = self._run_rewrite(
+                    request, budget, explain_only, ctx, session)
+                return status, _json_bytes(payload), "application/json"
+            data = request
+            handler = functools.partial(self._run_decoded,
+                                        explain_only=explain_only,
+                                        session=session)
+        else:
+            try:
+                data = json.loads(body.decode("utf-8")) if body else None
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                return 400, _json_bytes(
+                    {"error": {"message": f"request body is not valid "
+                                          f"JSON: {exc}"}}), \
+                    "application/json"
+            raw = data if isinstance(data, dict) else {}
+            budget = self._request_budget(raw.get("budget_ms"),
+                                          raw.get("max_steps"))
+            if path == "/evaluate":
+                handler = self._do_evaluate
+            else:
+                handler = functools.partial(self._do_rewrite,
+                                            explain_only=explain_only)
         # The queued span covers executor wait; the worker closes it the
         # moment it picks the job up, stitching loop and worker phases
         # into one tree (the tracer is only ever touched sequentially).
         queued = ctx.tracer.span("queued")
         self._in_flight += 1
         try:
-            status, payload = await self.pool.submit(
+            status, payload, request = await self.pool.submit(
                 self._run_on_worker, handler, data, budget, ctx, queued)
         finally:
             self._in_flight -= 1
+        if request is not None and len(body) <= DECODED_BODY_BYTES:
+            self._decoded[decoded_key] = request
+            self._decoded.move_to_end(decoded_key)
+            if len(self._decoded) > DECODED_REQUESTS:
+                self._decoded.popitem(last=False)
         return status, _json_bytes(payload), "application/json"
 
     @staticmethod
     def _run_on_worker(handler, data, budget, ctx: RequestContext,
-                       queued_span) -> tuple[int, dict]:
+                       queued_span) -> tuple[int, dict, object]:
         queued_span.__exit__(None, None, None)
         return handler(data, budget, ctx)
 
-    def _request_budget(self, data) -> Budget | None:
+    def _request_budget(self, raw_ms, raw_steps) -> Budget | None:
         """The per-request budget, clocked from admission time.
 
-        The deadline/step limits come from the request when given, else
-        the server defaults.  Created *before* the request waits for a
-        worker, so queueing time counts against the deadline (the
+        The deadline/step limits come from the request's ``budget_ms``
+        and ``max_steps`` when given (positive numbers), else the server
+        defaults.  Created *before* the request waits for a worker, so
+        queueing time counts against the deadline (the
         cooperative-cancellation admission control of ``repro.obs``).
         """
         budget_ms = self.config.default_budget_ms
         max_steps = self.config.default_max_steps
-        if isinstance(data, dict):
-            raw_ms = data.get("budget_ms")
-            if isinstance(raw_ms, (int, float)) \
-                    and not isinstance(raw_ms, bool) and raw_ms > 0:
-                budget_ms = float(raw_ms)
-            raw_steps = data.get("max_steps")
-            if isinstance(raw_steps, int) \
-                    and not isinstance(raw_steps, bool) and raw_steps > 0:
-                max_steps = raw_steps
+        if isinstance(raw_ms, (int, float)) \
+                and not isinstance(raw_ms, bool) and raw_ms > 0:
+            budget_ms = float(raw_ms)
+        if isinstance(raw_steps, int) \
+                and not isinstance(raw_steps, bool) and raw_steps > 0:
+            max_steps = raw_steps
         if budget_ms is None and max_steps is None:
             return None
         return Budget(deadline_ms=budget_ms, max_steps=max_steps)
 
     # -- endpoint workers (run on pool threads) ------------------------------
+    #
+    # Each returns ``(status, payload, decoded request or None)``; the
+    # loop keeps a decoded request so the same body is not decoded again.
 
-    def _do_rewrite(self, data, budget,
-                    ctx: RequestContext) -> tuple[int, dict]:
+    def _do_rewrite(self, data, budget, ctx: RequestContext, *,
+                    explain_only: bool = False):
         try:
-            request = RewriteRequest.from_json(data)
+            request = RewriteRequest.from_json(data, explain=explain_only)
         except BadRequestError as exc:
-            return 400, exc.to_json()
-        return self._run_rewrite(request, budget, explain_only=False,
-                                 ctx=ctx)
+            return 400, exc.to_json(), None
+        return self._run_decoded(request, budget, ctx,
+                                 explain_only=explain_only)
 
-    def _do_explain(self, data, budget,
-                    ctx: RequestContext) -> tuple[int, dict]:
-        try:
-            request = RewriteRequest.from_json(data, explain=True)
-        except BadRequestError as exc:
-            return 400, exc.to_json()
-        return self._run_rewrite(request, budget, explain_only=True,
-                                 ctx=ctx)
+    def _run_decoded(self, request: RewriteRequest, budget,
+                     ctx: RequestContext, *, explain_only: bool,
+                     session=None):
+        status, payload = self._run_rewrite(request, budget, explain_only,
+                                            ctx, session)
+        return status, payload, request
 
     def _run_rewrite(self, request: RewriteRequest, budget,
-                     explain_only: bool,
-                     ctx: RequestContext) -> tuple[int, dict]:
+                     explain_only: bool, ctx: RequestContext,
+                     session=None) -> tuple[int, dict]:
+        """Answer a decoded request on *session*, or on the pool's
+        session for its configuration when none is given."""
         ctx.explain_requested = request.explain
         if budget is not None:
             try:
@@ -662,11 +720,11 @@ class ReproServer:
                 ctx.truncated = True
                 ctx.stop_reason = exc.reason or "deadline"
                 return 408, self._timeout_payload(exc)
-        key = config_key(request.views, request.dtd_text)
-        ctx.config_key = key
-        ctx.query_key = query_key(request.query)
-        session = self.pool.session_for(request.views,
-                                        request.constraints, key)
+        ctx.config_key = request.config_key
+        ctx.query_key = request.query_key
+        if session is None:
+            session = self.pool.session_for(
+                request.views, request.constraints, request.config_key)
         # session.rewrite() performs (and counts) the one memo lookup of
         # this request; peeking here only picks the EXPLAIN capture.
         memoized = session.peek_result(request.query, request.flags,
@@ -722,32 +780,31 @@ class ReproServer:
                 payload["explanation"] = explanation.to_json()
         return status, payload
 
-    def _do_evaluate(self, data, budget,
-                     ctx: RequestContext) -> tuple[int, dict]:
+    def _do_evaluate(self, data, budget, ctx: RequestContext):
         from ..tsl import evaluate
         try:
             request = EvaluateRequest.from_json(data)
         except BadRequestError as exc:
-            return 400, exc.to_json()
+            return 400, exc.to_json(), None
         if budget is not None:
             try:
                 budget.check()
             except BudgetExceededError as exc:
                 ctx.truncated = True
                 ctx.stop_reason = exc.reason or "deadline"
-                return 408, self._timeout_payload(exc)
+                return 408, self._timeout_payload(exc), None
         ctx.query_key = query_key(request.query)
         try:
             with ctx.tracer.span("evaluate"):
                 answer = evaluate(request.query, request.database)
         except ReproError as exc:
-            return 422, {"error": {"message": str(exc)}}
+            return 422, {"error": {"message": str(exc)}}, None
         return 200, {
             "schema_version": SERVE_SCHEMA_VERSION,
             "answer": database_to_json(answer),
             "roots": len(answer.roots),
             "objects": answer.stats()["objects"],
-        }
+        }, None
 
     @staticmethod
     def _timeout_payload(exc: BudgetExceededError) -> dict:

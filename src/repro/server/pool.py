@@ -18,7 +18,9 @@ view sets sheds the coldest.
 CPU-bound work (TSL parsing, the exponential search, evaluation) runs
 on a ``ThreadPoolExecutor`` owned by the pool; the asyncio front-end
 submits through :meth:`SessionPool.submit` and never blocks the event
-loop on a rewrite.
+loop on a search.  The one rewrite the loop runs itself is a memo hit
+of a live session (:meth:`SessionPool.live_session`), which replays a
+stored result.
 """
 
 from __future__ import annotations
@@ -105,12 +107,8 @@ class SessionPool:
         (persisted first when a registry is attached).
         """
         with self._lock:
-            session = self._sessions.get(key)
+            session = self._reuse(key)
             if session is not None:
-                self._sessions.move_to_end(key)
-                self.reused += 1
-                if self.metrics is not None:
-                    self.metrics.increment("server.sessions.reused")
                 return session
             session = RewriteSession(views, constraints,
                                      metrics=self.metrics)
@@ -135,6 +133,25 @@ class SessionPool:
                 if self.metrics is not None:
                     self.metrics.increment("server.sessions.evicted")
             return session
+
+    def live_session(self, key: str) -> RewriteSession | None:
+        """The session for *key* if the pool holds one, else None.
+
+        Creates nothing, so the event loop may call it; a found session
+        is counted as a reuse and refreshed in the LRU, as by
+        :meth:`session_for`.
+        """
+        with self._lock:
+            return self._reuse(key)
+
+    def _reuse(self, key: str) -> RewriteSession | None:
+        session = self._sessions.get(key)
+        if session is not None:
+            self._sessions.move_to_end(key)
+            self.reused += 1
+            if self.metrics is not None:
+                self.metrics.increment("server.sessions.reused")
+        return session
 
     def save_sessions(self) -> dict:
         """Persist every live session's result memo (no-op without a

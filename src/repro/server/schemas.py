@@ -13,12 +13,18 @@ Every POST body is a JSON object; responses are JSON stamped with
   surface, over HTTP 400.
 
 The request dataclasses carry *parsed* payloads (ASTs, constraint
-objects, decoded databases); the HTTP layer never re-parses.
+objects, decoded databases); the HTTP layer never re-parses.  The
+views and DTD of a request are parsed once per distinct text: the last
+``CONFIG_CACHE_SIZE`` parsed configurations are kept with their session
+key, so a new query over a known view set skips the view parse, the
+TSL003 acyclicity check and the per-view canonical keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Any, Mapping
 
 from ..analysis import Diagnostic, Severity, render_text
@@ -26,10 +32,12 @@ from ..errors import ReproError, TslError
 from ..oem.model import OemDatabase
 from ..oem.serialize import database_from_json
 from ..rewriting import StructuralConstraints, parse_dtd
+from ..rewriting.canon import query_key
 from ..rewriting.rewriter import SearchFlags
 from ..tsl import parse_query, validate
 from ..tsl.ast import Query
 from ..tsl.validate import check_acyclic
+from .pool import config_key
 
 #: Bumped when a response payload shape changes incompatibly.
 SERVE_SCHEMA_VERSION = 1
@@ -37,6 +45,9 @@ SERVE_SCHEMA_VERSION = 1
 #: Diagnostic code under which bare syntax errors are reported (shared
 #: with the CLI's lint report).
 SYNTAX_CODE = "TSL000"
+
+#: Distinct (views, DTD) texts whose parse is kept (``_config``).
+CONFIG_CACHE_SIZE = 64
 
 
 class BadRequestError(ReproError):
@@ -74,13 +85,10 @@ def _require_object(data: Any, what: str) -> Mapping[str, Any]:
     return data
 
 
-def _get_str(data: Mapping[str, Any], key: str, *,
-             required: bool = True) -> str | None:
+def _get_str(data: Mapping[str, Any], key: str) -> str:
     value = data.get(key)
     if value is None:
-        if required:
-            raise BadRequestError(f"missing required field {key!r}")
-        return None
+        raise BadRequestError(f"missing required field {key!r}")
     if not isinstance(value, str):
         raise BadRequestError(f"field {key!r} must be a string")
     return value
@@ -128,13 +136,21 @@ def parse_query_text(text: str, *, file: str = "query",
         raise _tsl_error(exc, text, file) from exc
 
 
-def _parse_views(data: Mapping[str, Any]) -> dict[str, Query]:
-    raw = data.get("views")
-    if raw is None:
-        raise BadRequestError("missing required field 'views'")
-    views_obj = _require_object(raw, "field 'views'")
+@dataclass(frozen=True)
+class ParsedConfig:
+    """A decoded (views, DTD) configuration and its session key."""
+
+    views: Mapping[str, Query]
+    dtd_text: str | None
+    constraints: StructuralConstraints | None
+    key: str
+
+
+def _parse_config(views_items: tuple, dtd_text: Any) -> ParsedConfig:
+    """Parse the ``views`` and ``dtd`` fields (items of the ``views``
+    object, in request order, and the raw ``dtd`` value)."""
     views: dict[str, Query] = {}
-    for name, text in views_obj.items():
+    for name, text in views_items:
         if not isinstance(text, str):
             raise BadRequestError(
                 f"view {name!r} must be TSL text (a string)")
@@ -142,19 +158,37 @@ def _parse_views(data: Mapping[str, Any]) -> dict[str, Query]:
                                        name=name, validated=False)
     # An empty view set is legal (the rewrite just finds nothing), so
     # corpus cases replay over the wire exactly as in-process.
-    return views
+    if dtd_text is not None and not isinstance(dtd_text, str):
+        raise BadRequestError("field 'dtd' must be a string")
+    constraints = None
+    if dtd_text is not None:
+        try:
+            constraints = parse_dtd(dtd_text)
+        except ReproError as exc:
+            raise BadRequestError(
+                f"field 'dtd' is not a valid DTD: {exc}") from exc
+    return ParsedConfig(MappingProxyType(views), dtd_text, constraints,
+                        config_key(views, dtd_text))
 
 
-def _parse_dtd(data: Mapping[str, Any]) -> tuple[str | None,
-                                                 StructuralConstraints | None]:
-    text = _get_str(data, "dtd", required=False)
-    if text is None:
-        return None, None
+#: Parsed configurations kept by their text.  Failures raise, so they
+#: are never kept: a broken view is re-parsed and refused every time.
+_cached_config = lru_cache(maxsize=CONFIG_CACHE_SIZE)(_parse_config)
+
+
+def _config(body: Mapping[str, Any]) -> ParsedConfig:
+    """The request's parsed configuration, from the cache when its view
+    and DTD texts were parsed before."""
+    raw = body.get("views")
+    if raw is None:
+        raise BadRequestError("missing required field 'views'")
+    texts = (tuple(_require_object(raw, "field 'views'").items()),
+             body.get("dtd"))
     try:
-        return text, parse_dtd(text)
-    except ReproError as exc:
-        raise BadRequestError(f"field 'dtd' is not a valid DTD: {exc}") \
-            from exc
+        hash(texts)
+    except TypeError:   # a non-text field: parse it to name the error
+        return _parse_config(*texts)
+    return _cached_config(*texts)
 
 
 @dataclass
@@ -162,18 +196,25 @@ class RewriteRequest:
     """Parsed ``POST /rewrite`` (and ``POST /explain``) body."""
 
     query: Query
-    views: dict[str, Query]
+    views: Mapping[str, Query]
     dtd_text: str | None
     constraints: StructuralConstraints | None
+    #: The session key of (views, DTD): :func:`~repro.server.pool
+    #: .config_key`.
+    config_key: str
     total_only: bool = False
     max_candidates: int | None = None
     budget_ms: float | None = None
     max_steps: int | None = None
     explain: bool = False
+    #: The canonical key of the query: :func:`~repro.rewriting.canon
+    #: .query_key`.
+    query_key: str = field(init=False)
     #: The search flags the session memo keys this request's result under.
     flags: SearchFlags = field(init=False)
 
     def __post_init__(self) -> None:
+        self.query_key = query_key(self.query)
         self.flags = SearchFlags(total_only=self.total_only,
                                  max_candidates=self.max_candidates)
 
@@ -182,13 +223,13 @@ class RewriteRequest:
                   explain: bool = False) -> "RewriteRequest":
         body = _require_object(data, "request body")
         query = parse_query_text(_get_str(body, "query"))
-        views = _parse_views(body)
-        dtd_text, constraints = _parse_dtd(body)
+        config = _config(body)
         return cls(
             query=query,
-            views=views,
-            dtd_text=dtd_text,
-            constraints=constraints,
+            views=config.views,
+            dtd_text=config.dtd_text,
+            constraints=config.constraints,
+            config_key=config.key,
             total_only=_get_bool(body, "total_only"),
             max_candidates=_get_number(body, "max_candidates",
                                        integral=True),

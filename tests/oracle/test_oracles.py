@@ -202,7 +202,9 @@ def test_memo_reference_that_memoizes_is_caught(monkeypatch):
     # Mutation: give every zero-capacity memo table the default
     # capacity, so the reference run serves hits and the memo oracle's
     # comparison would be memoized against memoized.  (A capacity of 1
-    # serves no hit once the search chases its target only once.)
+    # serves no hit once the search chases its target only once.  The
+    # chase memo serves only the very query it stored, so one run hits
+    # only when it chases a query twice: 1 of the first 16 cases.)
     from repro.rewriting import session as session_mod
     real_init = session_mod.MemoTable.__init__
 
@@ -212,7 +214,7 @@ def test_memo_reference_that_memoizes_is_caught(monkeypatch):
                   metrics)
 
     monkeypatch.setattr(session_mod.MemoTable, "__init__", clamped)
-    report = run_fuzz(FuzzConfig(seed=31, iterations=4,
+    report = run_fuzz(FuzzConfig(seed=31, iterations=16,
                                  oracles=("memo",), shrink=False))
     assert not report.ok
     assert {f.invariant for f in report.failures} == {"reference-memoized"}

@@ -10,7 +10,7 @@ from repro.rewriting import (RewriteSession, canon, canonicalize, chase,
                              component_key, condition_key, equivalent,
                              program_key, query_key)
 from repro.rewriting.canon import (CANON_STEM, Canonical, _collect_variables,
-                                   _condition_skeleton, rebase)
+                                   _condition_skeleton)
 from repro.rewriting import session as session_module
 from repro.rewriting.constraints import paper_dtd
 from repro.tsl import parse_query
@@ -83,23 +83,30 @@ class TestCanonicalize:
         assert set(canon.forward) == set(q.all_variables())
 
 
-class TestRebase:
-    def test_rebase_restores_probe_variables(self):
+class TestAliasChase:
+    """Alpha-variants share a canonical key, but the session's chase
+    memo serves each query its own chase, never one renamed from
+    another's."""
+
+    def test_alias_chase_keeps_probe_variables(self):
         q = k_conditions_query(2)
         renamed = q.rename_apart("z")
-        stored = canonicalize(q)
-        probe = canonicalize(renamed)
-        assert stored.key == probe.key
-        rebased = rebase(chase(q), stored, probe)
-        assert rebased == chase(renamed)
+        assert canonicalize(q).key == canonicalize(renamed).key
+        session = RewriteSession([])
+        session.chase(q)
+        assert session.chase(renamed) == chase(renamed)
+        assert str(session.chase(renamed)) == str(chase(renamed))
 
-    def test_rebase_keeps_fresh_chase_variables_distinct(self):
-        # sigmod_97's chase introduces fresh W_n variables; rebasing
-        # into an alpha-variant's space must not capture them.
+    def test_alias_chase_keeps_fresh_chase_variables_distinct(self):
+        # sigmod_97's chase introduces fresh W_n variables; the alias's
+        # chase must not capture them either.
         q = sigmod_97_query()
         renamed = q.rename_apart("w")
-        rebased = rebase(chase(q), canonicalize(q), canonicalize(renamed))
-        assert query_key(rebased) == query_key(chase(renamed))
+        session = RewriteSession([])
+        session.chase(q)
+        served = session.chase(renamed)
+        assert served == chase(renamed)
+        assert query_key(served) == query_key(chase(renamed))
 
 
 class TestOtherKeys:
@@ -229,7 +236,8 @@ def test_wide_refinement_settles_before_the_bound(n, monkeypatch):
 
 def _parity_corpus(monkeypatch) -> list[Query]:
     """Generated, paper and conference queries and views, plus every
-    query :func:`canonicalize` is asked for while they are rewritten."""
+    query :func:`canonicalize` or the session's chase memo is asked for
+    while they are rewritten."""
     corpus: list[Query] = []
     for profile in sorted(PROFILES):
         for seed in range(60):
@@ -250,8 +258,15 @@ def _parity_corpus(monkeypatch) -> list[Query]:
         corpus.append(query)
         return original(query)
 
+    session_chase = RewriteSession.chase
+
+    def recording_chase(self, query, **kwargs):
+        corpus.append(query)
+        return session_chase(self, query, **kwargs)
+
     for module in (canon, session_module):
         monkeypatch.setattr(module, "canonicalize", recording)
+    monkeypatch.setattr(RewriteSession, "chase", recording_chase)
     session = RewriteSession({"V1": view_v1()}, paper_dtd())
     for q in paper:
         session.rewrite(q)

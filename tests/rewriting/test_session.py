@@ -9,8 +9,9 @@ from repro.errors import ChaseContradictionError
 from repro.obs import MetricsRegistry
 from repro.rewriting import (Explanation, MemoTable, RewriteSession, chase,
                              paper_dtd, query_key, rewrite)
-from repro.rewriting.session import _MISS
-from repro.tsl import parse_query
+from repro.oracle.gen import PROFILES, generate_case
+from repro.rewriting.session import _MISS, DEFAULT_MEMO_SIZE
+from repro.tsl import parse_query, print_query
 from repro.workloads import (condition_view, conference_view,
                              k_conditions_query, query_q3, query_q5,
                              sigmod_97_query, view_v1)
@@ -89,15 +90,34 @@ class TestSessionChase:
         assert first == second
         assert session.stats()["chase"]["hits"] == 1
 
-    def test_alias_hit_is_rebased(self, views):
+    def test_alias_is_chased_afresh(self, views):
         session = RewriteSession(views)
         q = sigmod_97_query()
         renamed = q.rename_apart("alias")
         session.chase(q)
-        rebased = session.chase(renamed)
-        # Served from the memo, but in the probe's variable space.
+        served = session.chase(renamed)
+        # An alpha-variant is its own entry: chased afresh, in its own
+        # variables and conjunct order, then served from the memo.
+        assert session.stats()["chase"]["hits"] == 0
+        assert str(served) == str(chase(renamed))
+        assert session.chase(renamed) is served
         assert session.stats()["chase"]["hits"] == 1
-        assert rebased == chase(renamed)
+
+    def test_compositions_print_alike_on_both_session_kinds(self):
+        # conjunctive/1 chases alpha-variant composition rules; a memo
+        # that served one variant's chase to the other printed their
+        # conjuncts in the first caller's order.
+        case = generate_case(1, PROFILES["conjunctive"])
+        printed = []
+        for memo_size in (0, DEFAULT_MEMO_SIZE):
+            session = RewriteSession(case.views, memo_size=memo_size)
+            printed.append([
+                [print_query(rule) for rule in rewriting.composition]
+                for heuristic in (True, False)
+                for rewriting in session.rewrite(
+                    case.query, heuristic=heuristic).rewritings])
+        assert printed[0]
+        assert printed[0] == printed[1]
 
     def test_contradiction_is_memoized(self, views):
         session = RewriteSession(views)
