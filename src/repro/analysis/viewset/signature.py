@@ -34,7 +34,7 @@ rewriting imports) into a cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ...logic.terms import Constant
 from ...tsl.ast import Query
@@ -175,10 +175,6 @@ class LabelSignatureIndex:
         """The view names that survive the prefilter, sorted."""
         return [name for name in sorted(self.signatures)
                 if self.admissible(name, profile)]
-
-    def views_for_label(self, label: str) -> frozenset[str]:
-        """Views whose bodies require constant *label*."""
-        return self._by_label.get(label, frozenset())
 
     def labels(self) -> list[str]:
         """Every constant label some view requires, sorted."""

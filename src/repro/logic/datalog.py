@@ -154,10 +154,6 @@ class Database:
                                                 ()))
         return tuple(self._facts.get(goal.predicate, ()))
 
-    def all_facts(self) -> Iterator[Atom]:
-        for bucket in self._facts.values():
-            yield from bucket
-
     def __contains__(self, atom: Atom) -> bool:
         return atom in self._facts.get(atom.predicate, ())
 

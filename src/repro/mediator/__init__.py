@@ -5,7 +5,7 @@ from .source import Source
 from .wrapper import NativeQuery, Wrapper, WrapperStats, translate_to_native
 from .cost import CostModel
 from .cbr import Plan, instantiate_capabilities, plan_query
-from .executor import ExecutionReport, execute_plan, execute_plans
+from .executor import ExecutionReport, execute_plans
 from .mediator import Mediator
 
 __all__ = [
@@ -14,6 +14,6 @@ __all__ = [
     "translate_to_native",
     "CostModel",
     "Plan", "plan_query", "instantiate_capabilities",
-    "ExecutionReport", "execute_plan", "execute_plans",
+    "ExecutionReport", "execute_plans",
     "Mediator",
 ]

@@ -52,9 +52,3 @@ def execute_plans(plans: list[Plan], wrappers: dict[str, Wrapper],
                               answer_name=answer_name)
     return ExecutionReport(answer=answer, source_queries=source_queries,
                            objects_transferred=objects, plans=list(plans))
-
-
-def execute_plan(plan: Plan, wrappers: dict[str, Wrapper],
-                 answer_name: str = "answer") -> ExecutionReport:
-    """Execute a single plan."""
-    return execute_plans([plan], wrappers, answer_name)

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from ..errors import CapabilityError, MediatorError
 from ..obs import NULL_TRACER, Tracer
 from ..oem.model import OemDatabase
-from ..rewriting.canon import canonicalize
 from ..rewriting.chase import StructuralConstraints
 from ..rewriting.composition import compose
-from ..rewriting.session import MemoTable
+from ..rewriting.session import _MISS, MemoTable
 from ..tsl.ast import Query
 from ..tsl.parser import parse_query
 from .cbr import Plan, plan_query
@@ -78,26 +77,21 @@ class Mediator:
     def expand(self, query: Query) -> list[Query]:
         """Expand references to integrated views into source-level rules.
 
-        Expansions are memoized per canonical query hash (exact-query
-        compare before serving, like the rewrite session's result memo)
-        and invalidated whenever a view or source is registered.
+        Expansions are memoized per query, like the rewrite session's
+        result memo, and invalidated whenever a view or source is
+        registered.
         """
         tracer = self.tracer or NULL_TRACER
         if not (query.sources() & set(self.integrated_views)):
             return [query]
-        key = canonicalize(query).key
-        value = self._expansions.peek(key, None)
-        if value is not None:
-            stored, rules = value
-            if stored == query:
-                self._expansions.record_hit()
-                return list(rules)
-        self._expansions.record_miss()
+        rules = self._expansions.get(query)
+        if rules is not _MISS:
+            return list(rules)
         rules = compose(query, self.integrated_views, tracer=tracer)
         if not rules:
             raise MediatorError(
                 "the query is unsatisfiable against the integrated views")
-        self._expansions.put(key, (query, tuple(rules)))
+        self._expansions.put(query, tuple(rules))
         return rules
 
     def plan(self, query: Query | str) -> list[Plan]:

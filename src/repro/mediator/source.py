@@ -37,20 +37,6 @@ class Source:
                     f"capability {capability.name} of source {self.name} "
                     f"references other sources: {sorted(foreign)}")
 
-    @classmethod
-    def from_store(cls, store,
-                   capabilities: list[CapabilityView] | None = None
-                   ) -> "Source":
-        """Expose a repository store (possibly a
-        :class:`~repro.storage.durable.DurableStore`) as a mediator
-        source -- the Figure 1 deployment where one of the autonomous
-        sources is the site's own persistent repository.  The source
-        reads the store's live database; updates through the store are
-        visible to subsequent mediator evaluations.
-        """
-        return cls(store.db.name, store.db,
-                   capabilities if capabilities is not None else [])
-
     def add_capability(self, capability: CapabilityView) -> None:
         foreign = capability.sources() - {self.name}
         if foreign:

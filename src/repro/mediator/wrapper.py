@@ -75,6 +75,3 @@ class Wrapper:
         self.stats.objects_returned += report["objects"]
         self.stats.atoms_scanned += len(self.source.db)
         return result
-
-    def reset_stats(self) -> None:
-        self.stats = WrapperStats()

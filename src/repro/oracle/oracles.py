@@ -1037,7 +1037,7 @@ class PersistOracle:
                 self.name, "memo-roundtrip",
                 f"saved {len(entries)} memo entries, reloaded "
                 f"{loaded['entries']} (dropped {loaded['dropped']})"))
-        (_key, flags) = entries[0][0]
+        (_query, flags) = entries[0][0]
         value = fresh.lookup_result(case.query, flags)
         result.checks += 1
         if value is None:

@@ -143,7 +143,3 @@ class ViewManager:
     def definitions(self) -> dict[str, Query]:
         return {name: view.definition
                 for name, view in sorted(self.views.items())}
-
-    def data_sources(self) -> dict[str, OemDatabase]:
-        return {name: view.data
-                for name, view in sorted(self.views.items())}

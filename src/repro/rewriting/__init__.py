@@ -4,8 +4,7 @@ from .index import IndexStats, PathIndex, statically_compatible
 from .mappings import (Mapping, body_mappings, component_mapping, coverage,
                        find_mappings, map_path_into,
                        most_constrained_order)
-from .canon import (Canonical, canonicalize, component_key, condition_key,
-                    intern_condition, program_key, query_key)
+from .canon import Canonical, canonicalize, program_key, query_key
 from .chase import StructuralConstraints, chase
 from .session import DEFAULT_MEMO_SIZE, MemoTable, RewriteSession
 from .composition import compose
@@ -13,8 +12,7 @@ from .equivalence import (equivalence_obstacle, equivalent, minimize,
                           prepare_program, programs_equivalent)
 from .explain import CandidateEvent, Explanation, MappingEvent
 from .rewriter import (CandidateAtom, RewriteResult, RewriteStats, Rewriting,
-                       find_all_rewritings, is_rewriting, rewrite,
-                       rewrite_single_path, view_instantiations)
+                       is_rewriting, rewrite, view_instantiations)
 from .contained import (ContainedRewriting, contained_in,
                         maximally_contained_rewritings, programs_contained)
 from .constraints import (ChildSpec, Dtd, paper_dtd, parse_dtd,
@@ -31,11 +29,10 @@ __all__ = [
     "equivalent", "programs_equivalent", "minimize", "prepare_program",
     "equivalence_obstacle",
     "Explanation", "MappingEvent", "CandidateEvent",
-    "rewrite", "rewrite_single_path", "find_all_rewritings", "is_rewriting",
+    "rewrite", "is_rewriting",
     "Rewriting", "RewriteResult", "RewriteStats", "CandidateAtom",
     "view_instantiations",
-    "Canonical", "canonicalize", "query_key", "condition_key",
-    "component_key", "program_key", "intern_condition",
+    "Canonical", "canonicalize", "query_key", "program_key",
     "RewriteSession", "MemoTable", "DEFAULT_MEMO_SIZE",
     "maximally_contained_rewritings", "programs_contained", "contained_in",
     "ContainedRewriting",

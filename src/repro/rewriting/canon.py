@@ -1,10 +1,14 @@
-"""Canonical forms and stable hashes for queries (memoization keys).
+"""Canonical forms and stable hashes for queries, up to renaming.
 
-The cached-query manager and the :class:`~repro.rewriting.session.
-RewriteSession` memo tables key work on *query identity* -- but two TSL
-queries that differ only in variable spelling or in the order of their
-body conjuncts denote the same rewriting problem.  This module computes
-a **variable-order-independent canonical form**:
+Two TSL queries that differ only in variable spelling or in the order
+of their body conjuncts denote the same query.  Where that
+alpha-equivalence is the point, the repository keys by
+:func:`query_key`: the server pool's configuration keys, the
+:class:`~repro.repository.cache.QueryCache`'s statement identity, the
+duplicate-view lint (TSL401) and the flight recorder's query key.  (The
+session and mediator memos key by the query itself: they serve only the
+spelling they stored.)  This module computes a
+**variable-order-independent canonical form**:
 
 * body conditions are split to single paths (normal form) and sorted by
   a name-free structural *skeleton*;
@@ -34,12 +38,12 @@ The canonical form is itself a :class:`~repro.tsl.ast.Query` (same
 head structure, path-normal body), so it round-trips through the whole
 pipeline and is *equivalent* to its input.  Equality of canonical forms
 implies alpha-equivalence of the inputs -- the soundness requirement for
-a memoization key; the converse holds up to skeleton ties, which only
-costs an occasional memo miss, never a wrong hit.
+an identity key; the converse holds up to skeleton ties, which only
+costs an occasional missed match, never a wrong one.
 
-:func:`query_key` (and friends) hash the canonical rendering with
-``blake2b``, so keys are stable across processes (unlike ``hash()``,
-which is salted for strings).
+:func:`query_key` and :func:`program_key` hash the canonical rendering
+with ``blake2b``, so keys are stable across processes (unlike
+``hash()``, which is salted for strings).
 """
 
 from __future__ import annotations
@@ -50,10 +54,9 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from ..logic.subst import Substitution
-from ..logic.terms import Constant, FunctionTerm, Term, Variable
+from ..logic.terms import Constant, FunctionTerm, Variable
 from ..tsl.ast import (Condition, ObjectPattern, Query, SetPattern,
                        SetPatternTerm)
-from ..tsl.decompose import ComponentQuery
 from ..tsl.normalize import normalize
 
 #: Canonical variables are named ``$0, $1, ...``; the lexer cannot
@@ -101,24 +104,6 @@ def _pattern_skeleton(pattern: ObjectPattern) -> str:
 
 def _condition_skeleton(condition: Condition) -> str:
     return f"{_pattern_skeleton(condition.pattern)}@{condition.source}"
-
-
-# --------------------------------------------------------------------------
-# Hash-consing (interning) of conditions
-# --------------------------------------------------------------------------
-
-#: Interning pools are cleared wholesale when full -- hash-consing is an
-#: optimization, never a source of truth, so dropping entries only costs
-#: a little sharing.
-_POOL_CAPACITY = 65536
-_CONDITION_POOL: dict[Condition, Condition] = {}
-
-
-def intern_condition(condition: Condition) -> Condition:
-    """Return the pooled representative equal to *condition*."""
-    if len(_CONDITION_POOL) >= _POOL_CAPACITY:
-        _CONDITION_POOL.clear()
-    return _CONDITION_POOL.setdefault(condition, condition)
 
 
 # --------------------------------------------------------------------------
@@ -184,8 +169,8 @@ def _condition_form(condition: Condition
     """The condition's skeleton, and its rendering as a ``str.format``
     template plus its variable occurrences: ``fmt.format(*(name(v) for v
     in slots)) == str(condition)`` when every variable is named
-    ``name(v)``.  Cached -- the compositions Step 2 keys share most of
-    their conditions."""
+    ``name(v)``.  Cached -- the queries and views keyed in one process
+    share most of their conditions."""
     pieces: list[str] = []
     slots: list[Variable] = []
     _fill_template(condition.pattern, pieces, slots)
@@ -240,8 +225,8 @@ def canonicalize(query: Query) -> Canonical:
     The result is equivalent to the input: the body is only split to
     single paths, reordered (conjunction is a set), and renamed apart.
 
-    Cached by query equality (spans excluded): canonicalization runs on
-    every memo probe, so repeated probes of the same query are free.
+    Cached by query equality (spans excluded), so keying the same query
+    again is free.
     """
     current = normalize(query)
     # Initial sort ignores variable names entirely.
@@ -280,8 +265,7 @@ def canonicalize(query: Query) -> Canonical:
         for i in sorted(range(count), key=rank.__getitem__)})
     return Canonical(
         Query(current.head.substitute(forward),
-              tuple(intern_condition(body[j].substitute(forward))
-                    for j in order)),
+              tuple(body[j].substitute(forward) for j in order)),
         forward)
 
 
@@ -298,39 +282,6 @@ def _render_query(query: Query) -> str:
 def query_key(query: Query) -> str:
     """A stable hash identifying *query* up to renaming and body order."""
     return canonicalize(query).key
-
-
-def condition_key(condition: Condition) -> str:
-    """A stable hash of one condition up to variable renaming."""
-    _, fmt, slots = _condition_form(condition)
-    ids: dict[Variable, int] = {}
-    return _digest(fmt.format(*[f"{CANON_STEM}{ids.setdefault(v, len(ids))}"
-                                for v in slots]))
-
-
-def component_key(component: ComponentQuery) -> str:
-    """A stable hash of a graph component query up to renaming."""
-    occurrences: list[Variable] = []
-    for term in component.head_terms:
-        _collect_variables(term, occurrences)
-    if component.value is not None:
-        _collect_variables(component.value, occurrences)
-    body = sorted(component.body, key=_condition_skeleton)
-    for condition in body:
-        _collect_variables(condition.pattern, occurrences)
-    forward_map: dict[Variable, Variable] = {}
-    for variable in occurrences:
-        if variable not in forward_map:
-            forward_map[variable] = Variable(
-                f"{CANON_STEM}{len(forward_map)}")
-    forward = Substitution(forward_map)
-    heads = ",".join(str(forward.apply(t)) for t in component.head_terms)
-    value = component.value
-    if isinstance(value, Term):
-        value = forward.apply(value)
-    rendered_body = " AND ".join(
-        sorted(str(c.substitute(forward)) for c in body))
-    return _digest(f"{component.kind}({heads})={value} :- {rendered_body}")
 
 
 def program_key(rules: Iterable[Query]) -> str:

@@ -292,8 +292,8 @@ def rewrite(query: Query,
         Optional :class:`repro.rewriting.session.RewriteSession` created
         for these *views* and *constraints*.  The search then reuses the
         session's prepared views and memo tables; complete results are
-        memoized per (canonical query, :class:`SearchFlags`) and served
-        on repeat calls.  Prefer :meth:`RewriteSession.rewrite`, which
+        memoized per (query, :class:`SearchFlags`) and served on repeat
+        calls.  Prefer :meth:`RewriteSession.rewrite`, which
         supplies the matching views/constraints automatically.  Without
         one the run uses a one-shot session of its own (``memo_size=0``:
         it prepares each view once and memoizes nothing).
@@ -699,29 +699,6 @@ def _record_metrics(metrics, stats: RewriteStats) -> None:
         metrics.increment("rewrite.truncated_runs")
     if stats.stop_reason is not None:
         metrics.increment(f"rewrite.stopped.{stats.stop_reason}")
-
-
-def rewrite_single_path(query: Query, view: Query,
-                        constraints: StructuralConstraints | None = None
-                        ) -> Rewriting | None:
-    """The Section 3.1 special case: single-path query, single view.
-
-    Returns the (at most one) total rewriting, or None.  Exercises the
-    same machinery as :func:`rewrite`; kept as a faithful, simple entry
-    point for the paper's walkthrough examples.
-    """
-    name = view.name or "V"
-    outcome = rewrite(query, {name: view}, constraints,
-                      total_only=True, first_only=True)
-    return outcome.rewritings[0] if outcome.rewritings else None
-
-
-def find_all_rewritings(query: Query,
-                        views: Union[Mapping[str, Query], Sequence[Query]],
-                        constraints: StructuralConstraints | None = None,
-                        **kwargs) -> list[Query]:
-    """Convenience wrapper returning just the rewriting queries."""
-    return rewrite(query, views, constraints, **kwargs).queries
 
 
 def is_rewriting(candidate: Query, query: Query,

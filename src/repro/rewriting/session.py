@@ -8,23 +8,21 @@ every view and re-runs the full exponential search on every call; a
 
 * **prepared views** -- each view is chased + normalized once per
   session and reused by every ``rewrite()`` call;
-* **memo tables** -- two bounded (LRU) caches: ``chase`` (every
-  ``chase()`` the pipeline runs: queries, candidates and composition
-  rules), keyed by the query itself, and ``rewrite`` (whole
-  ``rewrite()`` results), keyed on the canonical hash of
-  :mod:`~repro.rewriting.canon` and the search flags.  The per-phase
-  work in between (Step 1A, decomposition, the Step 2 verdict) is
-  recomputed on every search: the ``rewrite`` table answers exact
-  repeats before it would be reached, and requests that differ by one
-  constant never share a key.
+* **memo tables** -- two bounded (LRU) caches, both keyed by the query
+  itself: ``chase`` (every ``chase()`` the pipeline runs: queries,
+  candidates and composition rules) and ``rewrite`` (whole
+  ``rewrite()`` results, keyed by the query and the search flags).  The
+  per-phase work in between (Step 1A, decomposition, the Step 2
+  verdict) is recomputed on every search: the ``rewrite`` table answers
+  exact repeats before it would be reached, and requests that differ by
+  one constant never share a key.
 
-A hit is served only for the very query that was stored: a ``rewrite``
-entry records its query and misses for an alpha-variant sharing its
-canonical key, so every memoized answer is byte-identical to the one a
-``memo_size=0`` session computes.  Truncated (budget-stopped) results
-are never memoized.  Both tables export ``cache.{hits,misses,evictions}``
-counters -- aggregate and per-table -- through a
-:class:`~repro.obs.metrics.MetricsRegistry`.
+A hit is served only for the very query that was stored, so every
+memoized answer is byte-identical to the one a ``memo_size=0`` session
+computes; an alpha-variant spelling is a query of its own, with its own
+entry.  Truncated (budget-stopped) results are never memoized.  Both
+tables export ``cache.{hits,misses,evictions}`` counters -- aggregate
+and per-table -- through a :class:`~repro.obs.metrics.MetricsRegistry`.
 
 A session is bound to one ``(views, constraints)`` pair;
 :meth:`RewriteSession.update_views` swaps the view set while keeping
@@ -62,7 +60,6 @@ from typing import Mapping, Sequence, Union
 from ..errors import ChaseContradictionError, RewritingError
 from ..obs.metrics import PHASE_SECONDS
 from ..tsl.ast import Query
-from .canon import canonicalize
 from .chase import StructuralConstraints, chase
 
 #: Default per-table memo capacity.
@@ -82,6 +79,24 @@ def _as_view_dict(views: Union[Mapping[str, Query], Sequence[Query]]
             raise RewritingError(f"duplicate view name {name!r}")
         out[name] = view
     return out
+
+
+class _Key:
+    """A memo key that hashes its value once.  A lookup hashes its key
+    twice (the LRU get and the move to the MRU end), and hashing a query
+    walks all of it."""
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value) -> None:
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self.value == other.value
 
 
 class MemoTable:
@@ -124,18 +139,18 @@ class MemoTable:
             self.record_hit()
         return value
 
-    def peek(self, key, default=_MISS):
+    def peek(self, key):
         """Like :meth:`get` but without hit/miss accounting.
 
-        Callers that must verify the stored value before serving it
-        (exact-query compare) peek first, then call
-        :meth:`record_hit` / :meth:`record_miss` with the verdict.
-        *default* is returned on a miss (the module-private sentinel
-        when not given, so ``None`` is storable).
+        Callers that must inspect the stored value before serving it
+        peek first, then call :meth:`record_hit` / :meth:`record_miss`
+        with the verdict.  A miss returns the module-private sentinel,
+        so ``None`` is storable.
         """
+        key = _Key(key)
         with self._lock:
-            value = self.entries.get(key, default)
-            if value is not default:
+            value = self.entries.get(key, _MISS)
+            if value is not _MISS:
                 self.entries.move_to_end(key)
             return value
 
@@ -153,6 +168,7 @@ class MemoTable:
         if not self.capacity:
             return
         evicted = 0
+        key = _Key(key)
         with self._lock:
             self.entries[key] = value
             self.entries.move_to_end(key)
@@ -171,7 +187,8 @@ class MemoTable:
         """The (key, value) pairs in LRU order (oldest first), under
         the lock -- the persistence layer's consistent read."""
         with self._lock:
-            return list(self.entries.items())
+            return [(key.value, value)
+                    for key, value in self.entries.items()]
 
     def __len__(self) -> int:
         with self._lock:
@@ -330,8 +347,8 @@ class RewriteSession:
         (``heuristic``, ``total_only``, ...; see
         :class:`~repro.rewriting.rewriter.SearchFlags`) plus
         ``tracer``/``budget``/``explain``.  Complete results are cached
-        per (canonical query, flags); truncated results are returned but
-        never stored.  The run's metrics go to this session's registry.
+        per (query, flags); truncated results are returned but never
+        stored.  The run's metrics go to this session's registry.
         """
         from .rewriter import rewrite
         return rewrite(query, self.views, self.constraints,
@@ -369,26 +386,21 @@ class RewriteSession:
         """What :meth:`lookup_result` would return, without counting or
         timing a lookup -- for a caller that decides how to call
         :meth:`rewrite`, whose own lookup is the one that counts."""
-        value = self._results.peek((canonicalize(query).key, flags))
-        if value is _MISS:
+        value = self._results.peek((query, flags))
+        if value is _MISS or (need_explanation and value[1] is None):
             return None
-        stored, result, explanation = value
-        if stored != query or (need_explanation and explanation is None):
-            return None
-        return result, explanation
+        return value
 
     def store_result(self, query: Query, flags: tuple, result,
                      explain=None) -> None:
         """Memoize a complete result (and its decision log, if any)."""
         if result.stats.truncated:
             return
-        probe = canonicalize(query)
         explanation = explain.snapshot() if explain is not None else None
-        self._results.put((probe.key, flags),
-                          (query, result, explanation))
+        self._results.put((query, flags), (result, explanation))
 
     def result_entries(self) -> list:
-        """The rewrite-result memo's ``((key, flags), (query, result,
+        """The rewrite-result memo's ``((query, flags), (result,
         explanation))`` pairs in LRU order -- what
         :class:`repro.storage.registry.SessionRegistry` persists."""
         return self._results.items_snapshot()

@@ -623,8 +623,7 @@ class ReproServer:
                 return status, _json_bytes(payload), "application/json"
             data = request
             handler = functools.partial(self._run_decoded,
-                                        explain_only=explain_only,
-                                        session=session)
+                                        explain_only=explain_only)
         else:
             try:
                 data = json.loads(body.decode("utf-8")) if body else None
@@ -700,17 +699,18 @@ class ReproServer:
                                  explain_only=explain_only)
 
     def _run_decoded(self, request: RewriteRequest, budget,
-                     ctx: RequestContext, *, explain_only: bool,
-                     session=None):
+                     ctx: RequestContext, *, explain_only: bool):
         status, payload = self._run_rewrite(request, budget, explain_only,
-                                            ctx, session)
+                                            ctx)
         return status, payload, request
 
     def _run_rewrite(self, request: RewriteRequest, budget,
                      explain_only: bool, ctx: RequestContext,
                      session=None) -> tuple[int, dict]:
         """Answer a decoded request on *session*, or on the pool's
-        session for its configuration when none is given."""
+        session for its configuration when none is given.  Either way
+        the pool counts the session's use only past the budget check,
+        where the request goes on to use it."""
         ctx.explain_requested = request.explain
         if budget is not None:
             try:
@@ -725,6 +725,8 @@ class ReproServer:
         if session is None:
             session = self.pool.session_for(
                 request.views, request.constraints, request.config_key)
+        else:
+            self.pool.reuse(request.config_key)
         # session.rewrite() performs (and counts) the one memo lookup of
         # this request; peeking here only picks the EXPLAIN capture.
         memoized = session.peek_result(request.query, request.flags,

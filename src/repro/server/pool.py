@@ -137,12 +137,18 @@ class SessionPool:
     def live_session(self, key: str) -> RewriteSession | None:
         """The session for *key* if the pool holds one, else None.
 
-        Creates nothing, so the event loop may call it; a found session
-        is counted as a reuse and refreshed in the LRU, as by
-        :meth:`session_for`.
+        Creates and counts nothing, so the event loop may call it to
+        look at the session's memo; a caller that goes on to use the
+        session counts that with :meth:`reuse`.
         """
         with self._lock:
-            return self._reuse(key)
+            return self._sessions.get(key)
+
+    def reuse(self, key: str) -> None:
+        """Count a use of *key*'s live session and refresh it in the
+        LRU, as :meth:`session_for` does."""
+        with self._lock:
+            self._reuse(key)
 
     def _reuse(self, key: str) -> RewriteSession | None:
         session = self._sessions.get(key)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 
+from ..rewriting.canon import query_key
 from ..rewriting.equivalence import minimize
 from ..rewriting.rewriter import RewriteResult, RewriteStats, Rewriting
 from ..rewriting.session import RewriteSession
@@ -40,11 +41,11 @@ from .format import (KIND_SESSION_MEMO, STORAGE_SCHEMA_VERSION,
 __all__ = ["SessionRegistry"]
 
 
-def _entry_to_json(key_flags, value) -> dict:
-    (key, flags) = key_flags
-    (query, result, _explanation) = value
+def _entry_to_json(query_flags, value) -> dict:
+    (query, flags) = query_flags
+    (result, _explanation) = value
     return {
-        "key": key,
+        "key": query_key(query),
         "flags": list(flags),
         "query": _query_to_json(query),
         "rewritings": [
@@ -91,7 +92,8 @@ class SessionRegistry:
         entries = session.result_entries()
         records = [_entry_to_json(key, value) for key, value in entries]
         records.sort(key=lambda record: (record["key"],
-                                         json.dumps(record["flags"])))
+                                         json.dumps(record["flags"]),
+                                         json.dumps(record["query"])))
         document = {
             "schema_version": STORAGE_SCHEMA_VERSION,
             "kind": KIND_SESSION_MEMO,

@@ -97,9 +97,6 @@ class ObjectPattern:
             for p in self.value.patterns:
                 yield from p.nested_patterns()
 
-    def has_set_value(self) -> bool:
-        return isinstance(self.value, SetPattern)
-
     def __str__(self) -> str:
         return f"<{self.oid} {self.label} {self.value}>"
 

@@ -6,8 +6,7 @@ from .biblio import (CONFERENCES, conference_query, conference_view,
 from .people import (generate_people, people_dtd, query_q3, query_q5,
                      query_q7, view_v1)
 from .random_oem import (RandomOemConfig, RandomQueryConfig,
-                         exposing_view, generate_conforming_database,
-                         generate_random_database, sample_conjunctive_query,
+                         exposing_view, generate_random_database,
                          sample_query)
 from .querygen import (chain_database, chain_query, chain_view,
                        condition_view, fanout_probe_query, fanout_view,
@@ -20,8 +19,7 @@ __all__ = [
     "generate_people", "people_dtd", "view_v1", "query_q3", "query_q5",
     "query_q7",
     "RandomOemConfig", "RandomQueryConfig", "generate_random_database",
-    "generate_conforming_database", "sample_query",
-    "sample_conjunctive_query", "exposing_view",
+    "sample_query", "exposing_view",
     "chain_query", "chain_view", "star_query", "star_view",
     "k_conditions_query", "condition_view", "fanout_view",
     "fanout_probe_query", "chain_database", "star_database",

@@ -8,16 +8,12 @@ so their results are non-trivial, and random views likewise.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from ..oem.builder import DatabaseBuilder
 from ..oem.model import OemDatabase, Oid
 from ..tsl.ast import Condition, ObjectPattern, Query, SetPattern
 from ..logic.terms import Constant, FunctionTerm, Variable
-
-if TYPE_CHECKING:
-    from ..rewriting.constraints import Dtd
 
 
 @dataclass(frozen=True)
@@ -145,71 +141,6 @@ def sample_query(db: OemDatabase,
                          Constant("result"),
                          SetPattern(tuple(head_children)))
     return Query(head, tuple(conditions))
-
-
-def sample_conjunctive_query(db: OemDatabase,
-                             config: RandomQueryConfig = RandomQueryConfig(),
-                             seed: int = 0) -> Query:
-    """Like :func:`sample_query` but restricted to conjunctive TSL.
-
-    The head copies only atomic leaf values; set values observed by the
-    body stay body-only, so evaluation never hangs source subgraphs off
-    the answer.  This is the fragment the rewriting algorithm is complete
-    for, and the default diet of the :mod:`repro.oracle` fuzzer.
-    """
-    return sample_query(db, replace(config, conjunctive=True), seed)
-
-
-def generate_conforming_database(dtd: "Dtd", seed: int = 0,
-                                 roots: int = 3,
-                                 root_label: str | None = None,
-                                 name: str = "db",
-                                 values: tuple[str, ...] = ("u", "v", "w",
-                                                            "x"),
-                                 max_depth: int = 8) -> OemDatabase:
-    """A random database conforming to *dtd* (Section 3.3 constraints).
-
-    Every required child (multiplicity ``1``/``+``) is materialized, each
-    optional/starred child with a coin flip, so label inference and the
-    labeled-FD chase are sound on the result.  ``root_label`` defaults to
-    an element that is not a child of any other element (falling back to
-    the first declared element).  Recursive DTDs are truncated at
-    *max_depth* by emitting atomic leaves, which breaks conformance below
-    that depth -- keep recursive content shallow or raise *max_depth*.
-    """
-    rng = random.Random(seed)
-    if root_label is None:
-        child_names = {spec.name
-                       for children in dtd.elements.values()
-                       for spec in children or ()}
-        top = sorted(set(dtd.elements) - child_names)
-        if not top:
-            top = sorted(dtd.elements)
-        if not top:
-            raise ValueError("DTD declares no elements")
-        root_label = top[0]
-    builder = DatabaseBuilder(name)
-
-    def build(label: str, depth: int) -> Oid:
-        if dtd.is_atomic(label) or depth >= max_depth:
-            return builder.atomic(label, rng.choice(values))
-        oid = builder.set(label)
-        for spec in dtd.children_of(label):
-            if spec.multiplicity == "1":
-                count = 1
-            elif spec.multiplicity == "?":
-                count = rng.randint(0, 1)
-            elif spec.multiplicity == "+":
-                count = rng.randint(1, 2)
-            else:  # "*"
-                count = rng.randint(0, 2)
-            for _ in range(count):
-                builder.edge(oid, build(spec.name, depth + 1))
-        return oid
-
-    for _ in range(roots):
-        builder.root(build(root_label, 1))
-    return builder.finish()
 
 
 def exposing_view(query: Query, name: str = "V",

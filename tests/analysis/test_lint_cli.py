@@ -137,7 +137,7 @@ class TestDtdLinting:
             raise AssertionError("lint must not invoke the rewriter")
 
         monkeypatch.setattr(rew_mod, "rewrite", boom)
-        monkeypatch.setattr(rew_mod, "find_all_rewritings", boom)
+        monkeypatch.setattr(rew_mod._Search, "run", boom)
         qpath = write("q.tsl", "<f(P) x yes> :- <P p {<X junk V>}>@db")
         vpath = write("v.tsl", "<v(P) q V> :- <P p V>@db")
         dtd = write("people.dtd", DTD_TEXT)

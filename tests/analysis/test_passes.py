@@ -147,7 +147,7 @@ class TestDtdCodes:
             raise AssertionError("the rewriting pipeline must not run")
 
         monkeypatch.setattr(rew_mod, "rewrite", boom)
-        monkeypatch.setattr(rew_mod, "find_all_rewritings", boom)
+        monkeypatch.setattr(rew_mod._Search, "run", boom)
         monkeypatch.setattr(comp_mod, "compose", boom)
         monkeypatch.setattr(chase_mod, "chase", boom)
         text = "<f(P) x yes> :- <P p {<X junk V>}>@db"

@@ -143,6 +143,23 @@ class TestIntegratedViews:
         answer = mediator.answer(query)
         assert len(answer.roots) == 1
 
+    def test_each_spelling_keeps_its_expansion(self, s1):
+        # Two spellings of one query: each is memoized under itself, so
+        # alternating them never evicts the other's expansion.
+        mediator = Mediator(sources={"s1": s1})
+        mediator.define_view("recent", """
+            <rec(P) pub {<rc(P,L,W) L W>}> :-
+                <P pub {<Y year 1997>}>@s1 AND <P pub {<X L W>}>@s1
+        """)
+        query = parse_query(
+            "<f(P) hit yes> :- <rec(P) pub {<R1 conf sigmod>}>@recent")
+        renamed = query.rename_apart("z")
+        expansions = [mediator.expand(spelling)
+                      for _ in range(3) for spelling in (query, renamed)]
+        assert expansions == [expansions[0], expansions[1]] * 3
+        stats = mediator._expansions.stats()
+        assert (stats["misses"], stats["hits"], stats["size"]) == (2, 4, 2)
+
     def test_view_over_unknown_source_rejected(self, s1):
         mediator = Mediator(sources={"s1": s1})
         with pytest.raises(MediatorError, match="unknown sources"):

@@ -1,4 +1,4 @@
-"""Tests for canonical query forms and stable hashes (memo keys)."""
+"""Tests for canonical query forms and stable hashes (identity keys)."""
 
 import pytest
 
@@ -7,15 +7,12 @@ from repro.logic.subst import Substitution
 from repro.logic.terms import Variable
 from repro.oracle.gen import PROFILES, generate_case
 from repro.rewriting import (RewriteSession, canon, canonicalize, chase,
-                             component_key, condition_key, equivalent,
-                             program_key, query_key)
+                             equivalent, program_key, query_key)
 from repro.rewriting.canon import (CANON_STEM, Canonical, _collect_variables,
                                    _condition_skeleton)
-from repro.rewriting import session as session_module
 from repro.rewriting.constraints import paper_dtd
 from repro.tsl import parse_query
 from repro.tsl.ast import Query
-from repro.tsl.decompose import decompose_program
 from repro.tsl.normalize import normalize
 from repro.workloads import (condition_view, conference_query,
                              conference_view, k_conditions_query,
@@ -110,24 +107,10 @@ class TestAliasChase:
 
 
 class TestOtherKeys:
-    def test_condition_key_rename_invariant(self):
-        q = k_conditions_query(1)
-        renamed = q.rename_apart("r")
-        assert condition_key(q.body[0]) == condition_key(renamed.body[0])
-        assert condition_key(q.body[0]) \
-            != condition_key(conference_query("sigmod").body[0])
-
     def test_program_key_order_and_rename_invariant(self):
         a, b = condition_view(1), condition_view(2)
         assert program_key([a, b]) == program_key([b.rename_apart("p"), a])
         assert program_key([a]) != program_key([a, b])
-
-    def test_component_key_rename_invariant(self):
-        q = sigmod_97_query()
-        left = decompose_program([q])
-        right = decompose_program([q.rename_apart("c")])
-        assert sorted(component_key(c) for c in left) \
-            == sorted(component_key(c) for c in right)
 
 
 @pytest.mark.parametrize("seed", range(0, 18, 3))
@@ -147,8 +130,7 @@ def test_key_invariance_on_generated_cases(seed, profile):
 
 def _reference_numbering(head, body) -> Substitution:
     occurrences: list[Variable] = []
-    if head is not None:
-        _collect_variables(head, occurrences)
+    _collect_variables(head, occurrences)
     for condition in body:
         _collect_variables(condition.pattern, occurrences)
     forward: dict[Variable, Variable] = {}
@@ -187,7 +169,7 @@ def _reference_canonicalize(query: Query) -> Canonical:
 def wide_conference_query(n: int) -> Query:
     """The conference query with its two conjuncts repeated *n* times
     under fresh names: ``4 n + 1`` variables, the shape of the wide
-    biblio compositions Step 2 keys."""
+    biblio compositions."""
     body = " AND ".join(
         f"<P pub {{<B{i} booktitle sigmod>}}>@db AND "
         f"<P pub {{<X{i} L{i} W{i}>}}>@db" for i in range(1, n + 1))
@@ -264,8 +246,7 @@ def _parity_corpus(monkeypatch) -> list[Query]:
         corpus.append(query)
         return session_chase(self, query, **kwargs)
 
-    for module in (canon, session_module):
-        monkeypatch.setattr(module, "canonicalize", recording)
+    monkeypatch.setattr(canon, "canonicalize", recording)
     monkeypatch.setattr(RewriteSession, "chase", recording_chase)
     session = RewriteSession({"V1": view_v1()}, paper_dtd())
     for q in paper:
@@ -291,9 +272,6 @@ def test_reference_parity_on_narrow_queries(monkeypatch):
             assert str(c.query) == str(ref.query)
             assert c.forward == ref.forward
             assert c.key == ref.key
-            for condition in query.body:
-                assert condition_key(condition) == _digest_condition(
-                    condition)
         else:
             wide += 1
             assert equivalent(query, c.query), str(query)
@@ -316,9 +294,3 @@ def test_served_and_generated_queries_settle(monkeypatch):
     finally:
         canonicalize.cache_clear()
 
-
-def _digest_condition(condition) -> str:
-    """The reference ``condition_key``: digest of the condition renamed
-    by first occurrence."""
-    forward = _reference_numbering(None, [condition])
-    return canon._digest(str(condition.substitute(forward)))

@@ -9,7 +9,7 @@ import pytest
 
 from repro.oem import identical
 from repro.tsl import evaluate, parse_query, print_query
-from repro.rewriting import is_rewriting, rewrite, rewrite_single_path
+from repro.rewriting import is_rewriting, rewrite
 
 
 def _verify_semantics(query, rewriting, view, db):
@@ -46,8 +46,8 @@ class TestExample31:
         assert is_rewriting(q4, q3, {"V1": v1})
 
     def test_single_path_entry_point(self, v1, q3):
-        rewriting = rewrite_single_path(q3, v1)
-        assert rewriting is not None
+        result = rewrite(q3, {"V1": v1}, total_only=True, first_only=True)
+        assert len(result.rewritings) == 1
 
 
 class TestExample32:

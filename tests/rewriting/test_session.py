@@ -226,10 +226,22 @@ class TestSessionRewrite:
         session.rewrite(q)
         renamed = q.rename_apart("v")
         warm = session.rewrite(renamed)
-        # Exact-compare fails, so the variant re-runs the search in its
-        # own variable space -- and still agrees canonically.
+        # The variant is a query of its own, so it runs the search in
+        # its own variable space -- and still agrees canonically.
         assert session.stats()["rewrite"]["hits"] == 0
         assert fingerprint(warm) == fingerprint(rewrite(renamed, views))
+
+    def test_each_spelling_keeps_its_entry(self):
+        # Alternating two spellings of Q3 on one session: each spelling
+        # is searched once and then served, neither evicting the other.
+        session = RewriteSession({"V1": view_v1()}, paper_dtd())
+        q3 = query_q3()
+        renamed = q3.rename_apart("z")
+        for _ in range(3):
+            for spelling in (q3, renamed):
+                assert session.rewrite(spelling).rewritings
+        stats = session.stats()["rewrite"]
+        assert (stats["misses"], stats["hits"], stats["size"]) == (2, 4, 2)
 
     def test_flags_partition_the_memo(self, views):
         session = RewriteSession(views)

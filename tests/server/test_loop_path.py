@@ -14,6 +14,7 @@ spacing: the bytes are new, the request and its memo entry are not.
 import http.client
 import json
 import threading
+import time
 
 import pytest
 
@@ -159,6 +160,46 @@ class TestSameAccounting:
         assert loop["counters"]["cache.rewrite.hits"] == 2
         for field in ("requests", "counters", "recorded", "log"):
             assert loop[field] == worker[field], field
+
+    @pytest.mark.parametrize("same_bytes", [True, False],
+                             ids=["loop", "worker"])
+    def test_expired_in_queue_counts_no_reuse(self, same_bytes):
+        # A known body whose memo misses goes to the pool; when its
+        # deadline expires in the queue it is answered 408 without using
+        # the session, so neither path counts a reuse.
+        body = rewrite_body(max_steps=1, budget_ms=100)
+        config = ServerConfig(port=0, workers=1)
+        with running_server(config, metrics=MetricsRegistry()) as srv:
+            pool = srv.server.pool
+            # Truncated, so the session exists and its memo stays empty.
+            assert post_raw(srv, "/rewrite", encode(body), "first")[0] \
+                == 408
+            # Hold the one worker until the request has waited out its
+            # deadline in the queue.
+            gate = threading.Event()
+            pool._executor.submit(gate.wait, 30)
+            answer = []
+            client = threading.Thread(target=lambda: answer.append(
+                post_raw(srv, "/rewrite",
+                         encode(body, 0 if same_bytes else 1), "late")))
+            try:
+                client.start()
+                deadline = time.monotonic() + 30
+                while pool.stats()["pending"] == 0:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                time.sleep(0.3)
+            finally:
+                gate.set()
+            client.join(timeout=30)
+            assert not client.is_alive()
+            [(status, raw)] = answer
+            assert (status, json.loads(raw)["stop_reason"]) \
+                == (408, "deadline")
+            assert not answered_on_loop(srv, "late")
+            assert pool.stats()["reused"] == 0
+            assert "server.sessions.reused" not in \
+                srv.registry.snapshot()["counters"]
 
 
 class TestRouting:

@@ -36,7 +36,7 @@ class TestRoundTrip:
         fresh = RewriteSession({"V1": view_v1()}, None)
         loaded = registry.load_into("cfg", fresh, store_version=4)
         assert loaded == {"entries": 1, "dropped": 0}
-        (_key, flags), _value = session.result_entries()[0]
+        (_query, flags), _value = session.result_entries()[0]
         value = fresh.lookup_result(query_q3(), flags)
         assert value is not None
         warm, explanation = value
@@ -65,22 +65,41 @@ class TestRoundTrip:
         assert fingerprint(warm) == fingerprint(outcome)
 
     def test_reload_preserves_the_exact_match_guard(self, tmp_path):
-        # The memo key is canonical, but lookup_result also demands the
-        # stored query equal the probe exactly (the hash-collision
-        # guard).  A reloaded entry must behave identically: the exact
-        # spelling hits, an alpha-variant spelling is a sound miss that
-        # recomputes.
+        # The memo keys by the query itself, and the document's key is
+        # only its sort order.  A reloaded entry must behave like the
+        # stored one: the exact spelling hits, an alpha-variant spelling
+        # is a query of its own, a miss that recomputes.
         session, _outcome = warmed_session()
         registry = SessionRegistry(StorageLayout(tmp_path))
         registry.save("cfg", session, store_version=0)
         fresh = RewriteSession({"V1": view_v1()}, None)
         registry.load_into("cfg", fresh, store_version=0)
-        (_key, flags), _value = session.result_entries()[0]
+        (_query, flags), _value = session.result_entries()[0]
         renamed = parse_query(
             "<f(PP) stanford yes> :- <PP p {<XX YY leland>}>@db")
         assert query_key(renamed) == query_key(query_q3())
         assert fresh.lookup_result(query_q3(), flags) is not None
         assert fresh.lookup_result(renamed, flags) is None
+
+    def test_each_spelling_round_trips(self, tmp_path):
+        # Two spellings share a canonical key but not a memo entry; the
+        # document orders them by the query's JSON and reloads both.
+        session, _outcome = warmed_session()
+        renamed = query_q3().rename_apart("z")
+        session.rewrite(renamed)
+        layout = StorageLayout(tmp_path)
+        assert SessionRegistry(layout).save("cfg", session,
+                                            store_version=0)["entries"] == 2
+        document = json.loads(layout.session_path("cfg").read_text(
+            encoding="utf-8"))
+        records = document["entries"]
+        assert records[0]["key"] == records[1]["key"]
+        assert records == sorted(records,
+                                 key=lambda r: json.dumps(r["query"]))
+        fresh = RewriteSession({"V1": view_v1()}, None)
+        SessionRegistry(layout).load_into("cfg", fresh, store_version=0)
+        for spelling in (query_q3(), renamed):
+            assert fresh.lookup_result(spelling, SearchFlags()) is not None
 
 
 class TestDiscards:
@@ -190,7 +209,7 @@ class TestCompactCompositions:
             registry.save(name, session, store_version=0)
             fresh = RewriteSession(session.views, session.constraints)
             registry.load_into(name, fresh, store_version=0)
-            for (_key, flags), (query, outcome, _e) in \
+            for (query, flags), (outcome, _e) in \
                     session.result_entries():
                 warm, _explanation = fresh.lookup_result(query, flags)
                 assert fingerprint(warm) == fingerprint(outcome)
