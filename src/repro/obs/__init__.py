@@ -24,8 +24,7 @@ guards.  See ``docs/OBSERVABILITY.md``.
 from .budget import Budget, BudgetExceededError
 from .metrics import (DEFAULT_BUCKETS, METRICS, Counter, Gauge, Histogram,
                       MetricsRegistry)
-from .trace import (NULL_TRACER, NullTracer, Span, SpanRecord, Tracer,
-                    as_tracer)
+from .trace import NULL_TRACER, NullTracer, Span, SpanRecord, Tracer
 from .export import (TRACE_FORMATS, from_jsonl, render_prometheus,
                      to_chrome, to_jsonl, to_text, write_trace)
 from .recorder import (RECORDER_SCHEMA_VERSION, FlightRecorder,
@@ -33,7 +32,6 @@ from .recorder import (RECORDER_SCHEMA_VERSION, FlightRecorder,
 
 __all__ = [
     "Tracer", "NullTracer", "NULL_TRACER", "Span", "SpanRecord",
-    "as_tracer",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "METRICS",
     "DEFAULT_BUCKETS",
     "Budget", "BudgetExceededError",

@@ -23,8 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
-__all__ = ["SpanRecord", "Span", "Tracer", "NullTracer", "NULL_TRACER",
-           "as_tracer"]
+__all__ = ["SpanRecord", "Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 
 @dataclass
@@ -192,8 +191,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-
-def as_tracer(tracer: Tracer | None) -> Tracer | NullTracer:
-    """Normalize an optional tracer argument to a usable tracer."""
-    return NULL_TRACER if tracer is None else tracer

@@ -12,7 +12,7 @@ from .equivalence import (equivalence_obstacle, equivalent, minimize,
                           prepare_program, programs_equivalent)
 from .explain import CandidateEvent, Explanation, MappingEvent
 from .rewriter import (CandidateAtom, RewriteResult, RewriteStats, Rewriting,
-                       is_rewriting, rewrite, view_instantiations)
+                       is_rewriting, rewrite)
 from .contained import (ContainedRewriting, contained_in,
                         maximally_contained_rewritings, programs_contained)
 from .constraints import (ChildSpec, Dtd, paper_dtd, parse_dtd,
@@ -31,7 +31,6 @@ __all__ = [
     "Explanation", "MappingEvent", "CandidateEvent",
     "rewrite", "is_rewriting",
     "Rewriting", "RewriteResult", "RewriteStats", "CandidateAtom",
-    "view_instantiations",
     "Canonical", "canonicalize", "query_key", "program_key",
     "RewriteSession", "MemoTable", "DEFAULT_MEMO_SIZE",
     "maximally_contained_rewritings", "programs_contained", "contained_in",

@@ -47,6 +47,10 @@ from ..tsl.normalize import (Path, normalize, path_pattern, query_paths)
 
 Views = Mapping[str, Query]
 
+#: Levels of unfolding :func:`compose` tries before it calls the view
+#: definitions cyclic.
+MAX_UNFOLD_DEPTH = 8
+
 
 @dataclass(frozen=True, slots=True)
 class _ViewParts:
@@ -247,17 +251,16 @@ class _Resolver:
             yield absorbed, body + parts_b.body
 
 
-def compose(candidate: Query, views: Views,
-            max_depth: int = 8, *,
+def compose(candidate: Query, views: Views, *,
             tracer=None, budget=None,
             provenance: list | None = None) -> list[Query]:
     """Compute the composition of *candidate* with *views*.
 
     Conditions over sources not in *views* pass through unchanged.
     Views may be defined over other views; unfolding repeats (up to
-    *max_depth* levels) until only base sources remain.  Returns a union
-    of rules over the base sources; an empty list means the candidate is
-    unsatisfiable against the view definitions.
+    :data:`MAX_UNFOLD_DEPTH` levels) until only base sources remain.
+    Returns a union of rules over the base sources; an empty list means
+    the candidate is unsatisfiable against the view definitions.
 
     *provenance*, when given, receives one entry per returned rule: its
     :class:`Provenance` when one level of unfolding produced it, else
@@ -269,7 +272,7 @@ def compose(candidate: Query, views: Views,
 
     Raises :class:`CompositionError` in the one corner TSL cannot
     express (binding a variable to a set-*constructed* view value), or
-    when view definitions are cyclic beyond *max_depth*.
+    when view definitions are cyclic beyond :data:`MAX_UNFOLD_DEPTH`.
     """
     tracer = tracer or NULL_TRACER
     with tracer.span("compose") as span:
@@ -282,7 +285,7 @@ def compose(candidate: Query, views: Views,
         # check, silently dropping every deeper resolution.
         counter_start = _copy_counter_start(pending[0], views)
         resolver = _Resolver(views, start=counter_start, budget=budget)
-        for level in range(max_depth):
+        for level in range(MAX_UNFOLD_DEPTH):
             if not pending:
                 break
             next_pending: list[Query] = []
@@ -301,15 +304,14 @@ def compose(candidate: Query, views: Views,
             pending = next_pending
         if pending:
             raise CompositionError(
-                f"view definitions did not unfold within {max_depth} "
-                "levels (cyclic views?)")
+                f"view definitions did not unfold within "
+                f"{MAX_UNFOLD_DEPTH} levels (cyclic views?)")
         span.add("rules", len(rules))
         span.add("view_copies", resolver._copies - counter_start)
         return rules
 
 
-def _compose_once(candidate: Query, views: Views,
-                  resolver: _Resolver | None = None
+def _compose_once(candidate: Query, views: Views, resolver: _Resolver
                   ) -> list[tuple[Query, Substitution]]:
     """One level of unfolding of every view condition of *candidate*.
 
@@ -322,9 +324,6 @@ def _compose_once(candidate: Query, views: Views,
     view_paths = [p for p in query_paths(candidate) if p.source in views]
     if not view_paths:
         return [(candidate, Substitution())]
-    if resolver is None:
-        resolver = _Resolver(views,
-                             start=_copy_counter_start(candidate, views))
     rules: list[tuple[Query, Substitution]] = []
     seen: set[Query] = set()
     for subst, body in resolver.resolve_paths(view_paths, Substitution(),

@@ -23,41 +23,19 @@ from ..obs import NULL_TRACER
 from ..tsl.ast import Query
 from ..tsl.decompose import ComponentQuery, decompose_program
 from ..tsl.normalize import normalize, path_to_condition, query_paths
-from .chase import StructuralConstraints
+from .chase import StructuralConstraints, chase
 from .mappings import body_mappings, component_mapping, coverage
-from .session import RewriteSession
-
-
-def _session_for(constraints: StructuralConstraints | None,
-                 session: RewriteSession | None) -> RewriteSession:
-    """*session*, or a one-shot (``memo_size=0``) one over *constraints*.
-
-    A session carries its own constraints, so passing both is an error
-    rather than a silent choice between them.
-    """
-    if session is None:
-        return RewriteSession((), constraints, memo_size=0)
-    if constraints is not None and constraints is not session.constraints:
-        raise ValueError("pass constraints or a session, not both: the "
-                         "session's own constraints apply")
-    return session
 
 
 def prepare_program(rules: Iterable[Query],
                     constraints: StructuralConstraints | None = None, *,
-                    budget=None, session=None) -> list[Query]:
-    """Chase + normalize each rule; drop rules with contradictory bodies.
-
-    The per-rule chase runs through *session* (a
-    :class:`~repro.rewriting.session.RewriteSession`, whose constraints
-    apply), hitting its chase memo; without one, through a one-shot
-    session over *constraints*.
-    """
-    session = _session_for(constraints, session)
+                    budget=None) -> list[Query]:
+    """Chase + normalize each rule under *constraints*; drop rules with
+    contradictory bodies."""
     prepared: list[Query] = []
     for rule in rules:
         try:
-            prepared.append(session.chase(rule, budget=budget))
+            prepared.append(chase(rule, constraints, budget=budget))
         except ChaseContradictionError:
             continue  # empty on every legal database: contributes nothing
     return prepared
@@ -79,17 +57,16 @@ def components_subsumed(left: Sequence[ComponentQuery],
 
 def programs_equivalent(left: Iterable[Query], right: Iterable[Query],
                         constraints: StructuralConstraints | None = None,
-                        *, tracer=None, budget=None, session=None) -> bool:
+                        *, tracer=None, budget=None) -> bool:
     """Theorem 4.3: decompose both unions and test mutual mappings --
     :func:`equivalence_obstacle` finds no unmapped component."""
     return equivalence_obstacle(left, right, constraints, tracer=tracer,
-                                budget=budget, session=session) is None
+                                budget=budget) is None
 
 
 def equivalence_obstacle(left: Iterable[Query], right: Iterable[Query],
                          constraints: StructuralConstraints | None = None,
-                         *, tracer=None, budget=None,
-                         session=None) -> dict | None:
+                         *, tracer=None, budget=None) -> dict | None:
     """Why :func:`programs_equivalent` says False: the unmapped component.
 
     Runs the Theorem 4.3 test and returns the first graph component
@@ -103,16 +80,14 @@ def equivalence_obstacle(left: Iterable[Query], right: Iterable[Query],
     ``unmapped_side="left"`` means a *left* component is not covered by
     any right component (left is not contained in right), and
     symmetrically.  Returns None when the programs are equivalent.
-    *session* memoizes the chase under its own constraints (a one-shot
-    session over *constraints* when None).  The ``equivalence`` span
+    Both sides are chased under *constraints*.  The ``equivalence`` span
     counts the graph components of both sides.
     """
     tracer = tracer or NULL_TRACER
-    session = _session_for(constraints, session)
     with tracer.span("equivalence") as span:
         left_components, right_components = (
-            decompose_program(prepare_program(rules, budget=budget,
-                                              session=session))
+            decompose_program(prepare_program(rules, constraints,
+                                              budget=budget))
             for rules in (left, right))
         span.add("components",
                  len(left_components) + len(right_components))

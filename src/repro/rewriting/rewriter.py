@@ -154,90 +154,6 @@ class SearchFlags(NamedTuple):
     max_candidates: int | None = None
 
 
-def view_instantiations(query: Query, views: Mapping[str, Query],
-                        constraints: StructuralConstraints | None = None,
-                        *, tracer=None, budget=None,
-                        session=None, explain=None,
-                        stats: "RewriteStats | None" = None
-                        ) -> list[CandidateAtom]:
-    """Step 1A: mappings from each view body into body(Q), as atoms.
-
-    Each mapping ``θ`` yields the condition ``θ(head(Vi))@Vi`` together
-    with the set of Q-conditions it covers.  Views are prepared (chased)
-    through *session*, a :class:`~repro.rewriting.session.RewriteSession`
-    for *views* and *constraints* (a one-shot ``memo_size=0`` one when
-    None), so a session prepares each view once.  An
-    :class:`~repro.rewriting.explain.Explanation` receives one event per
-    mapping found, or the refutation obstacle for views with none.  A
-    view whose body contradicts the oid key dependency is empty on every
-    database, so no sound rewriting uses it: it is skipped, refuted by
-    the contradiction.
-
-    Views whose label signature in the session's
-    :class:`~repro.analysis.viewset.LabelSignatureIndex` provably has no
-    containment mapping into *query* (a sound necessary condition, see
-    :mod:`repro.analysis.viewset.signature`) are skipped before they are
-    prepared.  Skips are counted on ``stats.views_pruned_signature`` and
-    recorded as ``pruned-signature`` events on *explain*.  *query* must
-    already be chased (as the search's is) for the profile to be sound.
-
-    One :class:`~repro.rewriting.index.PathIndex` over the query's body
-    is shared by every per-view mapping search; target pairs the index
-    lets through / proves impossible are tallied on ``stats.index_hits``
-    / ``stats.index_skips``.
-    """
-    from ..analysis.viewset.signature import query_profile
-    tracer = tracer or NULL_TRACER
-    if session is None:
-        session = RewriteSession(views, constraints, memo_size=0)
-    if stats is None:
-        stats = RewriteStats()
-    signature_index = session.signature_index(tracer=tracer, budget=budget)
-    profile = query_profile(query)
-    atoms: list[CandidateAtom] = []
-    target_index = PathIndex(query_paths(query))
-    index_stats = IndexStats()
-    for name in sorted(views):
-        signature = signature_index.signature(name)
-        if signature is not None and not signature.admissible_for(profile):
-            stats.views_pruned_signature += 1
-            if explain is not None:
-                explain.view_pruned(name, signature.missing_from(profile))
-            continue
-        with tracer.span("enumerate_mappings", view=name) as span:
-            try:
-                view = session.prepared_view(name, tracer=tracer,
-                                             budget=budget)
-            except ChaseContradictionError as exc:
-                span.set("refuted", True)
-                if explain is not None:
-                    explain.mapping_refuted(
-                        name, f"the view body is unsatisfiable: {exc}")
-                continue
-            found = 0
-            mapping: ContainmentMapping
-            for mapping in find_mappings(view, query, budget=budget,
-                                         index=target_index,
-                                         index_stats=index_stats):
-                instantiated = view.head.substitute(mapping.subst)
-                atoms.append(CandidateAtom(Condition(instantiated, name),
-                                           mapping.covers, name,
-                                           mapping.subst))
-                span.add("mappings")
-                found += 1
-                if explain is not None:
-                    explain.mapping_found(name, mapping.subst,
-                                          mapping.covers)
-            if explain is not None and not found:
-                obstacle = mapping_obstacle(query_paths(view),
-                                            query_paths(query))
-                explain.mapping_refuted(name, obstacle)
-                span.set("refuted", True)
-    stats.index_hits += index_stats.hits
-    stats.index_skips += index_stats.skips
-    return atoms
-
-
 def rewrite(query: Query,
             views: Union[Mapping[str, Query], Sequence[Query]],
             constraints: StructuralConstraints | None = None,
@@ -303,7 +219,7 @@ def rewrite(query: Query,
     ``rewrite`` / ``chase`` / ``compose`` / ``equivalence`` span the run
     opened is observed in the ``phase.seconds{phase=...}`` latency
     histogram (on a private tracer when *tracer* is off).  Step 1A's
-    pre-filters (:func:`view_instantiations`) are sound, so they never
+    pre-filters (:meth:`_Search.view_atoms`) are sound, so they never
     change the rewriting set.
     """
     if session is None:
@@ -395,14 +311,13 @@ class _Search:
         The query is chased once, the way the Theorem 4.3 test prepares
         a program, so its components are those the test would compute.
         """
-        prepared = prepare_program([query], budget=self.budget,
-                                   session=self.session)
-        if not prepared:
+        try:
+            self.target = self.session.chase(query, budget=self.budget)
+        except ChaseContradictionError:
             return False
-        self.target = prepared[0]
         self.paths = query_paths(self.target)
         self.step2 = Step2Target(self.target)
-        self.components = decompose_program(prepared)
+        self.components = decompose_program([self.target])
         return True
 
     def run(self, query: Query) -> bool:
@@ -534,11 +449,77 @@ class _Search:
         return list(merged.values())
 
     def view_atoms(self) -> list[CandidateAtom]:
-        """Step 1A: the view instantiations of the target (Lemma 5.1)."""
-        return view_instantiations(
-            self.target, self.session.views, tracer=self.tracer,
-            budget=self.budget, session=self.session, explain=self.explain,
-            stats=self.stats)
+        """Step 1A: the mappings from each view body into the target
+        (Lemma 5.1), as view atoms.
+
+        Each mapping ``θ`` yields the condition ``θ(head(Vi))@Vi``
+        together with the set of target conditions it covers.  Views
+        come prepared (chased) from the session, once per session.  The
+        explanation receives one event per mapping found, or the
+        refutation obstacle for views with none.  A view whose body
+        contradicts the oid key dependency is empty on every database,
+        so no sound rewriting uses it: it is skipped, refuted by the
+        contradiction.
+
+        Views whose label signature in the session's
+        :class:`~repro.analysis.viewset.LabelSignatureIndex` provably has
+        no containment mapping into the chased target (a sound necessary
+        condition, see :mod:`repro.analysis.viewset.signature`) are
+        skipped before they are prepared, counted on
+        ``views_pruned_signature`` and recorded as ``pruned-signature``
+        events.  One :class:`~repro.rewriting.index.PathIndex` over the
+        target's paths is shared by every per-view mapping search; the
+        target pairs it lets through / proves impossible are tallied on
+        ``index_hits`` / ``index_skips``.
+        """
+        from ..analysis.viewset.signature import query_profile
+        session, tracer, budget = self.session, self.tracer, self.budget
+        explain, stats, target = self.explain, self.stats, self.target
+        signature_index = session.signature_index(tracer=tracer,
+                                                  budget=budget)
+        profile = query_profile(target)
+        atoms: list[CandidateAtom] = []
+        target_index = PathIndex(self.paths)
+        index_stats = IndexStats()
+        for name in sorted(session.views):
+            signature = signature_index.signature(name)
+            if (signature is not None
+                    and not signature.admissible_for(profile)):
+                stats.views_pruned_signature += 1
+                if explain is not None:
+                    explain.view_pruned(name, signature.missing_from(profile))
+                continue
+            with tracer.span("enumerate_mappings", view=name) as span:
+                try:
+                    view = session.prepared_view(name, tracer=tracer,
+                                                 budget=budget)
+                except ChaseContradictionError as exc:
+                    span.set("refuted", True)
+                    if explain is not None:
+                        explain.mapping_refuted(
+                            name, f"the view body is unsatisfiable: {exc}")
+                    continue
+                found = 0
+                mapping: ContainmentMapping
+                for mapping in find_mappings(view, target, budget=budget,
+                                             index=target_index,
+                                             index_stats=index_stats):
+                    instantiated = view.head.substitute(mapping.subst)
+                    atoms.append(CandidateAtom(
+                        Condition(instantiated, name), mapping.covers, name,
+                        mapping.subst))
+                    span.add("mappings")
+                    found += 1
+                    if explain is not None:
+                        explain.mapping_found(name, mapping.subst,
+                                              mapping.covers)
+                if explain is not None and not found:
+                    explain.mapping_refuted(name, mapping_obstacle(
+                        query_paths(view), self.paths))
+                    span.set("refuted", True)
+        stats.index_hits += index_stats.hits
+        stats.index_skips += index_stats.skips
+        return atoms
 
     def _record(self, chosen, verdict, reason=None, detail=None) -> None:
         """The EXPLAIN event of the candidate enumerated last."""
@@ -660,11 +641,11 @@ class _Search:
         if not composed:
             return ("the composition is empty: the candidate is "
                     "unsatisfiable against the view definitions", None)
-        session, budget = self.session, self.budget
+        constraints, budget = self.session.constraints, self.budget
         core = [minimize(rule, budget=budget) for rule in
-                prepare_program(composed, budget=budget, session=session)]
-        obstacle = equivalence_obstacle(core, [self.target], budget=budget,
-                                        session=session)
+                prepare_program(composed, constraints, budget=budget)]
+        obstacle = equivalence_obstacle(core, [self.target], constraints,
+                                        budget=budget)
         if obstacle is None:  # diagnostic re-run disagreed; report plainly
             return "composition is not equivalent to the query", None
         kind, component = obstacle["component_kind"], obstacle["component"]

@@ -615,11 +615,12 @@ class ReproServer:
             budget = self._request_budget(request.budget_ms,
                                           request.max_steps)
             session = self.pool.live_session(request.config_key)
-            if session is not None and session.peek_result(
-                    request.query, request.flags,
-                    need_explanation=request.explain) is not None:
+            memoized = None if session is None else session.peek_result(
+                request.query, request.flags,
+                need_explanation=request.explain)
+            if memoized is not None:
                 status, payload = self._run_rewrite(
-                    request, budget, explain_only, ctx, session)
+                    request, budget, explain_only, ctx, (session, memoized))
                 return status, _json_bytes(payload), "application/json"
             data = request
             handler = functools.partial(self._run_decoded,
@@ -706,11 +707,12 @@ class ReproServer:
 
     def _run_rewrite(self, request: RewriteRequest, budget,
                      explain_only: bool, ctx: RequestContext,
-                     session=None) -> tuple[int, dict]:
-        """Answer a decoded request on *session*, or on the pool's
-        session for its configuration when none is given.  Either way
-        the pool counts the session's use only past the budget check,
-        where the request goes on to use it."""
+                     hit=None) -> tuple[int, dict]:
+        """Answer a decoded request on the pool's session for its
+        configuration, or, given *hit* (the live session and the memo
+        entry the loop peeked in it), on that session.  Either way the
+        pool counts the session's use only past the budget check, where
+        the request goes on to use it."""
         ctx.explain_requested = request.explain
         if budget is not None:
             try:
@@ -722,15 +724,16 @@ class ReproServer:
                 return 408, self._timeout_payload(exc)
         ctx.config_key = request.config_key
         ctx.query_key = request.query_key
-        if session is None:
+        if hit is None:
             session = self.pool.session_for(
                 request.views, request.constraints, request.config_key)
+            # session.rewrite() performs (and counts) the one memo lookup
+            # of this request; peeking only picks the EXPLAIN capture.
+            memoized = session.peek_result(request.query, request.flags,
+                                           need_explanation=request.explain)
         else:
+            session, memoized = hit
             self.pool.reuse(request.config_key)
-        # session.rewrite() performs (and counts) the one memo lookup of
-        # this request; peeking here only picks the EXPLAIN capture.
-        memoized = session.peek_result(request.query, request.flags,
-                                       need_explanation=request.explain)
         memo = "hit" if memoized is not None else "miss"
         ctx.memo = memo
         # Tail-based capture wants an EXPLAIN for every recorded search,

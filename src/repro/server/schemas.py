@@ -141,7 +141,6 @@ class ParsedConfig:
     """A decoded (views, DTD) configuration and its session key."""
 
     views: Mapping[str, Query]
-    dtd_text: str | None
     constraints: StructuralConstraints | None
     key: str
 
@@ -167,7 +166,7 @@ def _parse_config(views_items: tuple, dtd_text: Any) -> ParsedConfig:
         except ReproError as exc:
             raise BadRequestError(
                 f"field 'dtd' is not a valid DTD: {exc}") from exc
-    return ParsedConfig(MappingProxyType(views), dtd_text, constraints,
+    return ParsedConfig(MappingProxyType(views), constraints,
                         config_key(views, dtd_text))
 
 
@@ -197,7 +196,6 @@ class RewriteRequest:
 
     query: Query
     views: Mapping[str, Query]
-    dtd_text: str | None
     constraints: StructuralConstraints | None
     #: The session key of (views, DTD): :func:`~repro.server.pool
     #: .config_key`.
@@ -227,7 +225,6 @@ class RewriteRequest:
         return cls(
             query=query,
             views=config.views,
-            dtd_text=config.dtd_text,
             constraints=config.constraints,
             config_key=config.key,
             total_only=_get_bool(body, "total_only"),

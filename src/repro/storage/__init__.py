@@ -23,7 +23,7 @@ stack round-trip.
 from .cachestore import CacheStore
 from .durable import DurableStore
 from .format import STORAGE_SCHEMA_VERSION, StorageLayout
-from .maintenance import UpdateDelta, may_overlap, statement_labels
+from .maintenance import may_overlap, statement_labels
 from .registry import SessionRegistry
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "DurableStore",
     "CacheStore",
     "SessionRegistry",
-    "UpdateDelta",
     "may_overlap",
     "statement_labels",
 ]

@@ -42,7 +42,7 @@ from ..logic.terms import Constant
 from ..tsl.ast import Query
 from ..tsl.normalize import query_paths
 
-__all__ = ["statement_labels", "may_overlap", "UpdateDelta"]
+__all__ = ["statement_labels", "may_overlap"]
 
 
 def statement_labels(statement: Query,
@@ -78,33 +78,3 @@ def may_overlap(labels: frozenset[str] | None,
         return True
     return bool(labels & touched)
 
-
-class UpdateDelta:
-    """Accumulates the touched labels of one batch of store mutations.
-
-    The repository wraps each mutation to record the labels of every
-    object the mutation involves -- for an edge, both endpoints: a new
-    match through the edge must place the *parent* at the step whose
-    label pattern matched it, so the parent label alone suffices, but
-    including the child label costs nothing and shields against
-    leaf-value steps.
-    """
-
-    __slots__ = ("labels", "ops")
-
-    def __init__(self) -> None:
-        self.labels: set = set()
-        self.ops = 0
-
-    def touch(self, *labels: object) -> None:
-        # Labels are stored raw (atoms), matching the Constant.value
-        # side of statement_labels -- str()-coercion would let an int
-        # label slip past the overlap test.
-        self.ops += 1
-        self.labels.update(labels)
-
-    def frozen(self) -> frozenset[str]:
-        return frozenset(self.labels)
-
-    def __bool__(self) -> bool:
-        return self.ops > 0

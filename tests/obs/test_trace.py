@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs import NULL_TRACER, Tracer, as_tracer
+from repro.obs import NULL_TRACER, Tracer
 
 
 class FakeClock:
@@ -135,11 +135,6 @@ class TestNullTracer:
             span.add("b")
         assert NULL_TRACER.enabled is False
         assert list(NULL_TRACER.spans) == []
-
-    def test_as_tracer(self):
-        assert as_tracer(None) is NULL_TRACER
-        tracer = Tracer()
-        assert as_tracer(tracer) is tracer
 
     def test_tree_accessors_are_empty(self):
         assert NULL_TRACER.roots() == []

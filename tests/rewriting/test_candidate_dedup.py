@@ -11,8 +11,9 @@ pure duplicated work.  Now equal-condition atoms are merged (their
 
 import pytest
 
-from repro.rewriting import rewrite, view_instantiations
+from repro.rewriting import rewrite
 from repro.tsl import parse_query
+from tests.rewriting.step1a import view_atoms
 
 
 @pytest.fixture
@@ -32,7 +33,7 @@ def two_site_query():
 
 def test_instantiations_still_report_each_mapping(ground_head_view,
                                                   two_site_query):
-    atoms = view_instantiations(two_site_query, {"V": ground_head_view})
+    atoms, _stats = view_atoms(two_site_query, {"V": ground_head_view})
     conditions = [a.condition for a in atoms]
     assert len(conditions) == 2
     assert conditions[0] == conditions[1]

@@ -125,9 +125,7 @@ class TestMaximallyContained:
         # (one view-body copy per resolution goal).
         [best] = maximally_contained_rewritings(
             all_titles_query, {"V": sigmod_view}).rewritings
-        session = RewriteSession({"V": sigmod_view}, memo_size=0)
-        assert best.composition == prepare_program(best.composition,
-                                                   session=session)
+        assert best.composition == prepare_program(best.composition)
         assert all(len(minimize(rule).body) < len(rule.body)
                    for rule in best.composition)
 

@@ -1,12 +1,8 @@
 """Tests for the TSL equivalence test (Section 4, Theorems 4.2-4.3)."""
 
-import pytest
-
-from repro.rewriting import (RewriteSession, equivalent, minimize,
-                             paper_dtd, programs_equivalent)
+from repro.rewriting import equivalent, minimize, programs_equivalent
 from repro.rewriting.equivalence import prepare_program
-from repro.tsl import parse_query, query_paths
-from repro.workloads import query_q3
+from repro.tsl import parse_query
 
 
 class TestEquivalent:
@@ -165,17 +161,3 @@ class TestPrepareProgram:
         rules = [parse_query("<f(P) x 1> :- <P a {<X b 1> <Y c 2>}>@db")]
         [prepared] = prepare_program(rules)
         assert len(prepared.body) == 2
-
-    def test_constraints_come_from_the_session(self):
-        dtd = paper_dtd()
-        rules = [query_q3()]
-        session = RewriteSession({}, dtd)
-        assert prepare_program(rules, session=session) == \
-            prepare_program(rules, dtd)
-        assert prepare_program(rules, dtd, session=session) == \
-            prepare_program(rules, dtd)
-        with pytest.raises(ValueError, match="session"):
-            prepare_program(rules, dtd, session=RewriteSession({}))
-        with pytest.raises(ValueError, match="session"):
-            programs_equivalent(rules, rules, dtd,
-                                session=RewriteSession({}))

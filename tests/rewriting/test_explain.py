@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.oracle.gen import PROFILES, generate_case
 from repro.rewriting import (Explanation, RewriteSession, paper_dtd,
                              rewrite)
 from repro.tsl import parse_query
@@ -154,3 +157,46 @@ class TestSerialization:
         assert "step 1A -- containment mappings:" in text
         assert "candidates (" in text
         assert "rewritings (1):" in text
+
+
+#: The RewriteStats counter of each per-candidate verdict that has one.
+VERDICT_COUNTERS = {
+    "accepted": "rewritings",
+    "pruned-heuristic": "candidates_pruned_by_heuristic",
+    "pruned-unsafe": "candidates_pruned_unsafe",
+    "pruned-subsumed": "candidates_pruned_subsumed",
+    "failed-chase": "candidates_failed_chase",
+    "failed-composition": "candidates_failed_composition",
+}
+
+
+class TestAgreesWithStats:
+    """The decision log and the counters describe the same search."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_generator_cases(self, profile):
+        mismatches = []
+        for seed in range(60):
+            case = generate_case(seed, PROFILES[profile])
+            for heuristic in (True, False):
+                explanation = Explanation()
+                stats = rewrite(case.query, case.views, case.constraints,
+                                heuristic=heuristic,
+                                explain=explanation).stats
+                counts = explanation.verdict_counts()
+                found = sum(m.found for m in explanation.mappings)
+                pruned = sum(m.verdict == "pruned-signature"
+                             for m in explanation.mappings)
+                tested = sum(n for verdict, n in counts.items()
+                             if verdict == "accepted"
+                             or verdict.startswith("failed-"))
+                observed = (
+                    len(explanation.candidates), found, pruned, tested,
+                    *(counts.get(v, 0) for v in VERDICT_COUNTERS))
+                expected = (
+                    stats.candidates_enumerated, stats.mappings,
+                    stats.views_pruned_signature, stats.candidates_tested,
+                    *(getattr(stats, c) for c in VERDICT_COUNTERS.values()))
+                if observed != expected:
+                    mismatches.append((seed, heuristic, observed, expected))
+        assert mismatches == []

@@ -28,7 +28,7 @@ from repro.rewriting.mappings import (_unrename, body_mappings,
                                       component_mapping, coverage,
                                       find_mappings, map_path_into,
                                       rename_paths_apart)
-from repro.rewriting.rewriter import RewriteStats, _Search
+from repro.rewriting.rewriter import _Search
 from repro.tsl import parse_query, query_paths
 from repro.tsl.ast import SetPattern
 from repro.tsl.decompose import decompose_program
@@ -36,6 +36,7 @@ from repro.tsl.normalize import Path, normalize
 from repro.logic.terms import Constant, Variable
 from repro.workloads import (condition_view, k_conditions_query, query_q3,
                              query_q7, star_query, star_view, view_v1)
+from tests.rewriting.step1a import view_atoms
 
 
 def _paths(text):
@@ -434,10 +435,7 @@ class TestFlagAndMetrics:
         assert counters["rewrite.index.skips"] == result.stats.index_skips
         assert result.stats.index_hits > 0
         # The search's counts are its Step 1A's over the session.
-        from repro.rewriting import view_instantiations
-        step1a = RewriteStats()
-        view_instantiations(chase(k_conditions_query(2), None),
-                            session.views, session=session, stats=step1a)
+        _atoms, step1a = view_atoms(k_conditions_query(2), session=session)
         assert (step1a.index_hits, step1a.index_skips) == \
             (result.stats.index_hits, result.stats.index_skips)
 
@@ -446,13 +444,10 @@ class TestFlagAndMetrics:
         # admits it; its nested path matches none of q's flat ones, so
         # only the path index stands between it and a doomed mapping
         # search.
-        from repro.rewriting import view_instantiations
         nested = parse_query("<g(P) row V> :- <P c1 {<X c2 V>}>@db",
                              name="V9")
         views = {"V1": condition_view(1), "V9": nested}
-        stats = RewriteStats()
-        atoms = view_instantiations(chase(k_conditions_query(2), None),
-                                    views, stats=stats)
+        atoms, stats = view_atoms(k_conditions_query(2), views)
         assert stats.views_pruned_signature == 0
         assert stats.index_skips > 0
         assert {a.view for a in atoms} == {"V1"}

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import ChaseContradictionError, RewritingError
-from repro.rewriting import rewrite, view_instantiations
+from repro.rewriting import rewrite
 from repro.tsl import parse_query, print_query
 from repro.workloads import condition_view, k_conditions_query
+from tests.rewriting.step1a import view_atoms
 
 
 @pytest.fixture
@@ -136,9 +137,7 @@ class TestStats:
 
 class TestViewInstantiations:
     def test_atoms_carry_coverage(self, k2, two_views):
-        from repro.rewriting.equivalence import prepare_program
-        [target] = prepare_program([k2])
-        atoms = view_instantiations(target, two_views)
+        atoms, _stats = view_atoms(k2, two_views)
         assert len(atoms) == 2
         assert {frozenset(a.covers) for a in atoms} == \
             {frozenset([0]), frozenset([1])}

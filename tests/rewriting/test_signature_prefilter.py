@@ -3,11 +3,10 @@
 from repro.obs import MetricsRegistry
 from repro.rewriting import RewriteSession, paper_dtd, rewrite
 from repro.rewriting.canon import query_key
-from repro.rewriting.chase import chase
-from repro.rewriting.rewriter import RewriteStats
 from repro.tsl import parse_query
 from repro.workloads import (condition_view, k_conditions_query, query_q3,
                              query_q7, view_v1)
+from tests.rewriting.step1a import view_atoms
 
 
 def fingerprint(result):
@@ -58,11 +57,8 @@ class TestPruning:
     def test_one_shot_session_index_is_consulted(self):
         # Without a session, Step 1A prunes through the index of the
         # one-shot session it prepares the views on.
-        query = k_conditions_query(1)
-        views = mixed_views(live=1, dead=3)
-        stats = RewriteStats()
-        from repro.rewriting.rewriter import view_instantiations
-        atoms = view_instantiations(chase(query, None), views, stats=stats)
+        atoms, stats = view_atoms(k_conditions_query(1),
+                                  mixed_views(live=1, dead=3))
         assert stats.views_pruned_signature == 3
         assert {a.view for a in atoms if a.view} == {"V1"}
 
@@ -88,12 +84,8 @@ class TestSessionPlumbing:
         assert len(rebuilt) == 1
 
     def test_session_index_prunes_step_1a(self):
-        from repro.rewriting.rewriter import view_instantiations
         session = RewriteSession(mixed_views(live=2, dead=5))
-        stats = RewriteStats()
-        atoms = view_instantiations(
-            chase(k_conditions_query(2), None), session.views,
-            session=session, stats=stats)
+        atoms, stats = view_atoms(k_conditions_query(2), session=session)
         assert stats.views_pruned_signature == 5
         assert {a.view for a in atoms} == {"V1", "V2"}
 

@@ -79,9 +79,8 @@ def test_biblio_family_is_a_witness_hit():
 def test_accepted_compositions_stay_unminimized_and_equivalent():
     result = rewrite(query_q5(), {"V1": view_v1()}, paper_dtd())
     (rewriting,) = result.rewritings
-    session = RewriteSession({"V1": view_v1()}, paper_dtd(), memo_size=0)
     assert programs_equivalent(rewriting.composition, [query_q5()],
-                               session=session)
+                               paper_dtd())
     # One view-body copy per resolution goal survives: more paths than
     # the query has.
     paths = sum(len(rule.body) for rule in rewriting.composition)

@@ -202,6 +202,29 @@ class TestSameAccounting:
                 srv.registry.snapshot()["counters"]
 
 
+class TestMemoProbes:
+    def test_a_loop_hit_probes_the_result_memo_twice(self, srv,
+                                                     monkeypatch):
+        # The loop's peek decides the path and is handed on, so the
+        # only other probe is the counted lookup of session.rewrite().
+        peeks: list[str] = []
+        original = RewriteSession.peek_result
+
+        def peek_result(self, *args, **kwargs):
+            peeks.append(threading.current_thread().name)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RewriteSession, "peek_result", peek_result)
+        raw = encode(rewrite_body(explain=True))
+        assert post_raw(srv, "/rewrite", raw, "cold")[0] == 200
+        for index in range(3):
+            peeks.clear()
+            status, body = post_raw(srv, "/rewrite", raw, f"hit{index}")
+            assert (status, json.loads(body)["memo"]) == (200, "hit")
+            assert answered_on_loop(srv, f"hit{index}")
+            assert peeks == [LOOP_THREAD, LOOP_THREAD]
+
+
 class TestRouting:
     def test_evicted_session_goes_to_the_pool_and_searches(self, lookups):
         config = ServerConfig(port=0, workers=1, max_sessions=1)

@@ -2,8 +2,7 @@
 
 from repro.repository.cache import QueryCache
 from repro.rewriting.constraints import PAPER_DTD, parse_dtd
-from repro.storage.maintenance import (UpdateDelta, may_overlap,
-                                       statement_labels)
+from repro.storage.maintenance import may_overlap, statement_labels
 from repro.tsl.evaluator import evaluate
 from repro.tsl.parser import parse_query
 from repro.workloads import figure3_database
@@ -52,20 +51,6 @@ class TestMayOverlap:
 
     def test_empty_labels_never_overlap(self):
         assert not may_overlap(frozenset(), frozenset({"anything"}))
-
-
-class TestUpdateDelta:
-    def test_accumulates_raw_atoms(self):
-        delta = UpdateDelta()
-        assert not delta
-        delta.touch("pub", 1997)
-        delta.touch("pub")
-        assert delta
-        assert delta.ops == 2
-        assert delta.frozen() == frozenset({"pub", 1997})
-        # Raw atoms, not strings: an int label must stay an int so the
-        # overlap test compares like with like.
-        assert 1997 in delta.frozen() and "1997" not in delta.frozen()
 
 
 class TestCacheApplyUpdate:

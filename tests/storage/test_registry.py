@@ -217,5 +217,4 @@ class TestCompactCompositions:
                                               outcome.rewritings):
                     assert programs_equivalent(
                         reloaded.composition, original.composition,
-                        session=RewriteSession((), session.constraints,
-                                               memo_size=0))
+                        session.constraints)
