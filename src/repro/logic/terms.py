@@ -6,7 +6,10 @@ The same term algebra underlies TSL patterns, the Datalog translation, and
 the unification machinery of query composition, so it lives here at the
 bottom of the dependency graph.
 
-Terms are immutable and hashable.  Three concrete kinds exist:
+Terms are immutable and hashable.  Each keeps its hash in a slot the
+first ``hash()`` fills: the value the dataclass would compute, the hash
+of the tuple of compare fields, so sets and dicts order terms as before.
+Three concrete kinds exist:
 
 * :class:`Constant` -- an atom (string, int, or float).
 * :class:`Variable` -- a named placeholder.
@@ -16,7 +19,7 @@ Terms are immutable and hashable.  Three concrete kinds exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Iterator, Mapping, Union
 
@@ -29,6 +32,9 @@ class Term:
     """Abstract base of all terms.  Instances are immutable and hashable."""
 
     __slots__ = ()
+
+    def __reduce__(self):
+        return reduce_by_init_fields(self)
 
     def is_ground(self) -> bool:
         """Return True when the term contains no variables."""
@@ -53,6 +59,15 @@ class Constant(Term):
     # the same term, so substitutions and containment mappings are
     # untouched by the analysis layer.
     span: Span | None = field(default=None, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.value,))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def is_ground(self) -> bool:
         return True
@@ -78,6 +93,15 @@ class Variable(Term):
 
     name: str
     span: Span | None = field(default=None, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.name,))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def is_ground(self) -> bool:
         return False
@@ -99,6 +123,15 @@ class FunctionTerm(Term):
     functor: str
     args: tuple[Term, ...]
     span: Span | None = field(default=None, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.functor, self.args))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def is_ground(self) -> bool:
         return all(arg.is_ground() for arg in self.args)
@@ -152,6 +185,17 @@ class SetValue(Term):
     def __str__(self) -> str:
         inner = " ".join(sorted(str(m) for m in self.members))
         return "{" + inner + "}"
+
+
+def reduce_by_init_fields(node) -> tuple:
+    """Pickle a frozen dataclass by its constructor arguments.
+
+    A slotted dataclass would otherwise pickle every slot, cached ones
+    included, and a cached hash of a ``str`` is only valid in the process
+    that computed it.
+    """
+    return type(node), tuple(getattr(node, f.name) for f in fields(node)
+                             if f.init)
 
 
 def const(value: Atom) -> Constant:

@@ -19,6 +19,9 @@ semantic
     and the exposing view yields an equivalent rewriting.  It runs
     again without the exposing view, whose equivalent rewriting would
     otherwise be the only one returned, so contained ones are checked.
+    The rewriter also reruns under a seeded random step budget: a
+    truncated result must be a subset of the unbudgeted one (what a
+    server's 408 promises) and an untruncated one equal to it.
 
 containment
     Differential check of the containment-mapping engine against the
@@ -89,6 +92,7 @@ step2
 from __future__ import annotations
 
 import json
+import random
 import tempfile
 import traceback
 from collections import Counter
@@ -281,8 +285,9 @@ class SemanticOracle:
             for name, view in case.views.items()}
         self._check_datalog(case, expected, materialized, result)
         sources = {case.db.name: case.db, **materialized}
+        spent = Budget()
         outcome = rewrite(case.query, case.views, constraints,
-                          max_candidates=self.max_candidates)
+                          max_candidates=self.max_candidates, budget=spent)
         for rewriting in outcome:
             if case.conjunctive and not _uses_set_mappings(rewriting.query):
                 # Only meaningful without copy semantics: materialized
@@ -309,8 +314,39 @@ class SemanticOracle:
                 self.name, "rewriting-complete",
                 "case admits a rewriting by construction (exposing view) "
                 "but the rewriter found none"))
+        self._check_budgeted(case, outcome, spent.steps, result)
         self._check_contained(case, expected, result)
         return result
+
+    def _check_budgeted(self, case: Case, outcome, spent: int,
+                        result: OracleResult) -> None:
+        """Rerun the rewriter under a ``max_steps`` drawn (seeded by the
+        case) from 1 to the *spent* steps of the unbudgeted run: a
+        truncated result must be a subset of *outcome*, an untruncated
+        one equal to it.  Tallied on the ``budgeted`` counter, and on
+        ``budgeted_truncated`` when the rerun stopped early."""
+        rng = random.Random(f"budgeted:{case.profile}:{case.seed}")
+        budget = Budget(max_steps=rng.randint(1, max(1, spent)))
+        budgeted = rewrite(case.query, case.views, case.constraints,
+                           max_candidates=self.max_candidates,
+                           budget=budget)
+        full = [str(r.query) for r in outcome]
+        found = [str(r.query) for r in budgeted]
+        result.checks += 1
+        result.counters["budgeted"] += 1
+        if budgeted.truncated:
+            result.counters["budgeted_truncated"] += 1
+            extra = sorted(set(found) - set(full))
+            if extra:
+                result.failures.append(Failure(
+                    self.name, "budgeted-subset",
+                    f"a run truncated at {budget.max_steps} steps "
+                    f"returned rewritings the full run does not: {extra}"))
+        elif found != full:
+            result.failures.append(Failure(
+                self.name, "budgeted-complete",
+                f"a run under {budget.max_steps} steps finished but "
+                f"returned {found}, the full run {full}"))
 
     def _check_contained(self, case: Case, expected: OemDatabase,
                          result: OracleResult) -> None:

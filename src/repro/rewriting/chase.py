@@ -9,7 +9,9 @@ set pattern ``{<X Y Z>}`` with fresh variables (Example 3.4).
 The implementation works on normal-form queries and applies, to a
 fixpoint, the six rules of Section 3.2 plus the "regular" chase for
 labeled functional dependencies inferred from structural constraints
-(Section 3.3), and label inference.
+(Section 3.3), and label inference.  Between rules the query is kept as
+its head and its body paths; a fired rule substitutes into the paths it
+touches, and one query is built at the fixpoint.
 
 Chasing can fail: equating two distinct constants means the query has an
 empty result on every database satisfying the key dependency
@@ -35,7 +37,12 @@ from ..logic.unify import unify
 from ..obs import NULL_TRACER
 from ..tsl.ast import (ObjectPattern, Query, SetPattern, SetPatternTerm,
                        fresh_variable_factory)
-from ..tsl.normalize import Path, normalize, path_to_condition, query_paths
+from ..tsl.normalize import (Path, condition_paths, path_to_condition,
+                             paths_query, query_paths)
+from .mappings import _path_variables
+
+#: A query between chase steps: its head and its normal-form body paths.
+Chased = tuple[ObjectPattern, list[Path]]
 
 
 class StructuralConstraints(Protocol):
@@ -93,20 +100,35 @@ def _unify_or_fail(left: Term, right: Term, what: str) -> Substitution | None:
     return result
 
 
-def _rebuild(query: Query, paths: list[Path]) -> Query:
-    return Query(query.head, tuple(path_to_condition(p) for p in paths),
-                 name=query.name)
+def _substitute(head: ObjectPattern, paths: list[Path],
+                subst: Substitution) -> Chased:
+    """``normalize(query.substitute(subst))`` on the ``(head, paths)`` form.
+
+    Only the paths that mention a variable of *subst* are substituted
+    and split again; the others are kept as they are.  The result is
+    deduplicated in order, as :func:`~repro.tsl.normalize.normalize`
+    deduplicates the conditions of a substituted normal-form body.
+    """
+    domain = set(subst)
+    out: dict[Path, None] = {}
+    for path in paths:
+        if domain.isdisjoint(_path_variables(path)):
+            out.setdefault(path)
+        else:
+            condition = path_to_condition(path).substitute(subst)
+            for split in condition_paths(condition):
+                out.setdefault(split)
+    return head.substitute(subst), list(out)
 
 
-def _key_dependency_step(query: Query,
-                         paths: list[Path]) -> Query | None:
+def _key_dependency_step(head: ObjectPattern,
+                         paths: list[Path]) -> Chased | None:
     """One application of the oid key-dependency rules; None at fixpoint."""
     occurrences = _occurrences(paths)
     groups: dict[Term, list[_Occurrence]] = {}
     for occ in occurrences:
         groups.setdefault(occ.oid, []).append(occ)
 
-    fresh = fresh_variable_factory(query.all_variables())
     for oid, group in groups.items():
         if len(group) < 2:
             continue
@@ -116,7 +138,7 @@ def _key_dependency_step(query: Query,
             subst = _unify_or_fail(first.label, other.label,
                                    f"labels of oid {oid}")
             if subst is not None:
-                return normalize(query.substitute(subst))
+                return _substitute(head, paths, subst)
         # Rule: values must agree.
         set_evidence = any(occ.has_child for occ in group)
         empty_evidence = any(
@@ -133,16 +155,20 @@ def _key_dependency_step(query: Query,
             # have a subobject becomes the pattern {<X Y Z>}, X, Y, Z fresh.
             for leaf in leaf_terms:
                 if isinstance(leaf, Variable):
+                    taken = set(head.variables())
+                    for path in paths:
+                        taken.update(_path_variables(path))
+                    fresh = fresh_variable_factory(taken)
                     replacement = SetPatternTerm(SetPattern((
                         ObjectPattern(fresh(), fresh(), fresh()),)))
                     subst = Substitution({leaf: replacement})
-                    return normalize(query.substitute(subst))
+                    return _substitute(head, paths, subst)
         # Rule: two term-valued occurrences unify.
         for other_leaf in leaf_terms[1:]:
             subst = _unify_or_fail(leaf_terms[0], other_leaf,
                                    f"values of oid {oid}")
             if subst is not None:
-                return normalize(query.substitute(subst))
+                return _substitute(head, paths, subst)
     return None
 
 
@@ -246,18 +272,19 @@ def _drop_subsumed_empty_paths(paths: list[Path]) -> list[Path]:
                     and (path.source, path.steps) in proper_prefixes)]
 
 
-def _label_inference_step(query: Query, paths: list[Path],
-                          constraints: StructuralConstraints) -> Query | None:
+def _label_inference_step(head: ObjectPattern, paths: list[Path],
+                          constraints: StructuralConstraints
+                          ) -> Chased | None:
     """Bind every inferable variable label in one batch (Section 3.3).
 
     Produces the same binding *sequence* as the one-at-a-time rule --
     scan from the top, fire the first inferable position, rescan -- but
-    tracks fired bindings in a local map instead of substituting
-    and re-normalizing the whole query per binding, then applies them
-    with a single substitute/normalize.  Sound to batch: the chase only
-    reaches label inference with the key dependency at fixpoint, and
-    binding a label variable to a constant cannot wake the key rules
-    (labels of a shared oid are already unified, values are untouched).
+    tracks fired bindings in a local map instead of substituting per
+    binding, then applies them with a single substitution.  Sound to
+    batch: the chase only reaches label inference with the key
+    dependency at fixpoint, and binding a label variable to a constant
+    cannot wake the key rules (labels of a shared oid are already
+    unified, values are untouched).
     """
     bindings: dict[Variable, Constant] = {}
 
@@ -296,11 +323,11 @@ def _label_inference_step(query: Query, paths: list[Path],
                 break
     if not bindings:
         return None
-    return normalize(query.substitute(Substitution(bindings)))
+    return _substitute(head, paths, Substitution(bindings))
 
 
-def _labeled_fd_step(query: Query, paths: list[Path],
-                     constraints: StructuralConstraints) -> Query | None:
+def _labeled_fd_step(head: ObjectPattern, paths: list[Path],
+                     constraints: StructuralConstraints) -> Chased | None:
     """One application of the regular chase on labeled FDs; None at fixpoint.
 
     When objects labeled ``a`` have at most one subobject labeled ``b``,
@@ -327,7 +354,7 @@ def _labeled_fd_step(query: Query, paths: list[Path],
                                        f"oids under FD {parent_label}->"
                                        f"{child_label}")
                 if subst is not None:
-                    return normalize(query.substitute(subst))
+                    return _substitute(head, paths, subst)
     return None
 
 
@@ -347,27 +374,25 @@ def chase(query: Query,
     """
     tracer = tracer or NULL_TRACER
     with tracer.span("chase") as span:
-        current = normalize(query)
+        head, paths = query.head, query_paths(query)
         for iteration in range(max_steps):
             if budget is not None:
                 budget.tick()
-            paths = query_paths(current)
-            stepped = _key_dependency_step(current, paths)
+            stepped = _key_dependency_step(head, paths)
             if stepped is None and constraints is not None:
-                stepped = _label_inference_step(current, paths,
-                                                constraints)
+                stepped = _label_inference_step(head, paths, constraints)
                 if stepped is None:
-                    stepped = _labeled_fd_step(current, paths, constraints)
+                    stepped = _labeled_fd_step(head, paths, constraints)
             if stepped is None:
                 _check_acyclic(paths)
                 reduced = _drop_subsumed_empty_paths(
                     _saturate_unions(paths))
                 if set(reduced) != set(paths):
-                    current = _rebuild(current, reduced)
+                    paths = reduced
                     continue
                 span.add("iterations", iteration + 1)
-                return current
-            current = stepped
+                return paths_query(head, paths, query.name)
+            head, paths = stepped
         raise ChaseContradictionError(
             f"chase did not terminate within {max_steps} steps "
             "(is the query acyclic?)")

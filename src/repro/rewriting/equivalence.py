@@ -22,7 +22,7 @@ from ..logic.subst import Substitution
 from ..obs import NULL_TRACER
 from ..tsl.ast import Query
 from ..tsl.decompose import ComponentQuery, decompose_program
-from ..tsl.normalize import normalize, path_to_condition, query_paths
+from ..tsl.normalize import normalize, paths_query, query_paths
 from .chase import StructuralConstraints, chase
 from .mappings import body_mappings, component_mapping, coverage
 
@@ -132,5 +132,4 @@ def minimize(query: Query, *, budget=None) -> Query:
             paths = [p for i, p in enumerate(remaining) if i in image]
         else:
             index += 1
-    return Query(current.head, tuple(path_to_condition(p) for p in paths),
-                 name=current.name)
+    return paths_query(current.head, paths, current.name)

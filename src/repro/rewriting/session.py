@@ -81,24 +81,6 @@ def _as_view_dict(views: Union[Mapping[str, Query], Sequence[Query]]
     return out
 
 
-class _Key:
-    """A memo key that hashes its value once.  A lookup hashes its key
-    twice (the LRU get and the move to the MRU end), and hashing a query
-    walks all of it."""
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value) -> None:
-        self.value = value
-        self._hash = hash(value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self.value == other.value
-
-
 class MemoTable:
     """A bounded LRU mapping with hit/miss/eviction accounting.
 
@@ -147,7 +129,6 @@ class MemoTable:
         with the verdict.  A miss returns the module-private sentinel,
         so ``None`` is storable.
         """
-        key = _Key(key)
         with self._lock:
             value = self.entries.get(key, _MISS)
             if value is not _MISS:
@@ -168,7 +149,6 @@ class MemoTable:
         if not self.capacity:
             return
         evicted = 0
-        key = _Key(key)
         with self._lock:
             self.entries[key] = value
             self.entries.move_to_end(key)
@@ -187,8 +167,7 @@ class MemoTable:
         """The (key, value) pairs in LRU order (oldest first), under
         the lock -- the persistence layer's consistent read."""
         with self._lock:
-            return [(key.value, value)
-                    for key, value in self.entries.items()]
+            return list(self.entries.items())
 
     def __len__(self) -> int:
         with self._lock:

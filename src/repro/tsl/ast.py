@@ -6,7 +6,10 @@ value field is either a term (variable, atomic constant, or function term)
 or a *set value pattern* containing zero or more object patterns.
 
 All AST nodes are immutable and hashable so they can key dictionaries in
-the rewriting machinery.
+the rewriting machinery.  Like terms, each keeps its hash in a slot the
+first ``hash()`` fills with the hash of its compare-field tuple, and a
+condition or query keeps the body paths :mod:`repro.tsl.normalize` walks
+out of it the first time they are asked for.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, Union
 
 from ..logic.subst import Substitution
-from ..logic.terms import Term, Variable
+from ..logic.terms import Term, Variable, reduce_by_init_fields
 from ..span import Span
 
 DEFAULT_SOURCE = "db"
@@ -30,6 +33,17 @@ class SetPattern:
     # so rewriting machinery that rebuilds or compares patterns is
     # unaffected; rebuilt nodes simply have span None.
     span: Span | None = field(default=None, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.patterns,))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    __reduce__ = reduce_by_init_fields
 
     def substitute(self, subst: Substitution) -> "SetPattern":
         return SetPattern(tuple(p.substitute(subst) for p in self.patterns),
@@ -55,6 +69,17 @@ class ObjectPattern:
     label: Term
     value: PatternValue
     span: Span | None = field(default=None, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.oid, self.label, self.value))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    __reduce__ = reduce_by_init_fields
 
     def substitute(self, subst: Substitution) -> "ObjectPattern":
         value = self.value
@@ -112,6 +137,15 @@ class SetPatternTerm(Term):
     """
 
     pattern: SetPattern
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.pattern,))
+            object.__setattr__(self, "_hash", value)
+        return value
 
     def is_ground(self) -> bool:
         return not any(True for _ in self.pattern.variables())
@@ -134,6 +168,19 @@ class Condition:
     pattern: ObjectPattern
     source: str = DEFAULT_SOURCE
     span: Span | None = field(default=None, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
+    #: The body paths, filled by :mod:`repro.tsl.normalize`.
+    _paths: tuple = field(init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.pattern, self.source))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    __reduce__ = reduce_by_init_fields
 
     def substitute(self, subst: Substitution) -> "Condition":
         return Condition(self.pattern.substitute(subst), self.source,
@@ -154,6 +201,19 @@ class Query:
     body: tuple[Condition, ...]
     name: str | None = field(default=None, compare=False)
     span: Span | None = field(default=None, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
+    #: The body paths, filled by :mod:`repro.tsl.normalize`.
+    _paths: tuple = field(init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.head, self.body))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    __reduce__ = reduce_by_init_fields
 
     def substitute(self, subst: Substitution) -> "Query":
         return Query(self.head.substitute(subst),

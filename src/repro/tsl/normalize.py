@@ -15,10 +15,10 @@ throughout the rewriting machinery (mappings, composition, equivalence).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..logic.terms import Term
+from ..logic.terms import Term, reduce_by_init_fields
 from .ast import Condition, ObjectPattern, PatternValue, Query, SetPattern
 
 
@@ -34,9 +34,20 @@ class Path:
     steps: tuple[tuple[Term, Term], ...]
     leaf: PatternValue
     source: str
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
 
     def __post_init__(self) -> None:
         assert self.steps, "a path has at least one step"
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.steps, self.leaf, self.source))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    __reduce__ = reduce_by_init_fields
 
     @property
     def depth(self) -> int:
@@ -86,25 +97,53 @@ def pattern_paths(pattern: ObjectPattern, source: str) -> list[Path]:
 
 
 def condition_paths(condition: Condition) -> list[Path]:
-    """Enumerate the single paths of one condition."""
-    return pattern_paths(condition.pattern, condition.source)
+    """Enumerate the single paths of one condition.
+
+    The walk runs once per condition; each call returns a fresh list.
+    """
+    return list(_condition_paths(condition))
+
+
+def _condition_paths(condition: Condition) -> tuple[Path, ...]:
+    paths = getattr(condition, "_paths", None)
+    if paths is None:
+        paths = tuple(pattern_paths(condition.pattern, condition.source))
+        object.__setattr__(condition, "_paths", paths)
+    return paths
 
 
 def query_paths(query: Query) -> list[Path]:
-    """Enumerate every single path in the query body, deduplicated."""
-    seen: set[Path] = set()
-    ordered: list[Path] = []
-    for condition in query.body:
-        for path in condition_paths(condition):
-            if path not in seen:
-                seen.add(path)
-                ordered.append(path)
-    return ordered
+    """Enumerate every single path in the query body, deduplicated.
+
+    The walk runs once per query; each call returns a fresh list.
+    """
+    paths = getattr(query, "_paths", None)
+    if paths is None:
+        ordered: dict[Path, None] = {}
+        for condition in query.body:
+            for path in _condition_paths(condition):
+                ordered.setdefault(path)
+        paths = tuple(ordered)
+        object.__setattr__(query, "_paths", paths)
+    return list(paths)
 
 
 def path_to_condition(path: Path) -> Condition:
     """Rebuild the chain-shaped condition a path denotes."""
-    return Condition(_path_pattern(path.steps, path.leaf), path.source)
+    condition = Condition(_path_pattern(path.steps, path.leaf), path.source)
+    if not (isinstance(path.leaf, SetPattern) and path.leaf.patterns):
+        object.__setattr__(condition, "_paths", (path,))
+    return condition
+
+
+def paths_query(head: ObjectPattern, paths: list[Path],
+                name: str | None = None) -> Query:
+    """The normal-form query with *head* whose body is the chains of
+    *paths*, which must be duplicate-free."""
+    query = Query(head, tuple(path_to_condition(p) for p in paths),
+                  name=name)
+    object.__setattr__(query, "_paths", tuple(paths))
+    return query
 
 
 def normalize(query: Query) -> Query:
@@ -113,8 +152,7 @@ def normalize(query: Query) -> Query:
     The head is untouched (normal form is a body property).  Duplicate
     path conditions are removed -- conjunction is idempotent.
     """
-    body = tuple(path_to_condition(p) for p in query_paths(query))
-    return Query(query.head, body, name=query.name)
+    return paths_query(query.head, query_paths(query), query.name)
 
 
 def is_normal_form(query: Query) -> bool:

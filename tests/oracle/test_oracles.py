@@ -17,6 +17,7 @@ from repro.oem import build_database, obj
 from repro.oracle import (ORACLES, Case, FuzzConfig, SemanticOracle,
                           generate_case, run_fuzz, run_oracle)
 from repro.rewriting.equivalence import prepare_program
+from repro.rewriting.rewriter import Rewriting
 from repro.tsl import parse_query
 from repro.tsl.ast import Query
 from repro.tsl.decompose import decompose_program
@@ -346,6 +347,36 @@ def test_semantic_oracle_counts_contained_checks():
     assert report.ok, "\n".join(f.message for f in report.failures)
     assert 0 < report.counters["semantic.contained"] \
         < report.checks["semantic"]
+
+
+def test_semantic_oracle_reruns_every_case_under_a_step_budget():
+    report = run_fuzz(FuzzConfig(seed=7, iterations=8,
+                                 oracles=("semantic",)))
+    assert report.ok, "\n".join(f.message for f in report.failures)
+    assert report.counters["semantic.budgeted"] == 8
+    assert report.counters["semantic.budgeted_truncated"] > 0
+
+
+def test_budgeted_run_with_an_unfound_rewriting_is_caught(monkeypatch):
+    # Under a step budget, report one rewriting the full search never
+    # found: a truncated run then answers more than the full one, an
+    # untruncated run differs from it.
+    real = oracles_mod.rewrite
+
+    def leaky(query, views, constraints=None, **kwargs):
+        result = real(query, views, constraints, **kwargs)
+        budget = kwargs.get("budget")
+        if budget is not None and budget.max_steps is not None:
+            result.rewritings.append(Rewriting(query, [query],
+                                               frozenset()))
+        return result
+
+    monkeypatch.setattr(oracles_mod, "rewrite", leaky)
+    report = run_fuzz(FuzzConfig(seed=7, iterations=8, shrink=False,
+                                 oracles=("semantic",)))
+    invariants = {f.invariant for f in report.failures}
+    assert "budgeted-subset" in invariants, invariants
+    assert invariants <= {"budgeted-subset", "budgeted-complete"}
 
 
 def test_step2_oracle_counts_witness_hits():

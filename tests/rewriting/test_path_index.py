@@ -32,7 +32,7 @@ from repro.rewriting.rewriter import _Search
 from repro.tsl import parse_query, query_paths
 from repro.tsl.ast import SetPattern
 from repro.tsl.decompose import decompose_program
-from repro.tsl.normalize import Path, normalize
+from repro.tsl.normalize import Path, normalize, paths_query
 from repro.logic.terms import Constant, Variable
 from repro.workloads import (condition_view, k_conditions_query, query_q3,
                              query_q7, star_query, star_view, view_v1)
@@ -284,10 +284,20 @@ def label_inference_step_legacy(query, paths, constraints):
     return None
 
 
+def as_chase_step(kernel):
+    """Adapt a ``(query, paths, ...) -> Query`` kernel to the chase's
+    ``(head, paths, ...) -> (head, paths)`` step contract."""
+    def step(head, paths, *args):
+        stepped = kernel(paths_query(head, paths), paths, *args)
+        return None if stepped is None else (stepped.head,
+                                             query_paths(stepped))
+    return step
+
+
 LEGACY_KERNELS = {
     "_saturate_unions": saturate_unions_legacy,
     "_drop_subsumed_empty_paths": drop_subsumed_empty_paths_legacy,
-    "_label_inference_step": label_inference_step_legacy,
+    "_label_inference_step": as_chase_step(label_inference_step_legacy),
 }
 
 
