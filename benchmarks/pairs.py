@@ -8,13 +8,12 @@ Usage (from the checkout root)::
 
 ``--parent`` is a directory holding a copy of the parent tree, or a git
 revision of this checkout, whose committed files are extracted into a
-temporary directory (``git archive``) and removed afterwards.
-``--change`` is the tree under test, this checkout by default.  Pair
-*N* runs each tree's own ``perfbench/run.py --workload W --seed N
---seconds S --trace 0`` once, from that tree's root.  Odd pairs run the
-parent first and even pairs the change first: on a shared host the run
-that goes second can be favoured, so a fixed order would bias every
-pair the same way.
+temporary directory (``git archive``) and removed afterwards.  The
+change is this checkout.  Pair *N* runs each tree's own
+``perfbench/run.py --workload W --seed N --seconds S --trace 0`` once,
+from that tree's root.  Odd pairs run the parent first and even pairs
+the change first: on a shared host the run that goes second can be
+favoured, so a fixed order would bias every pair the same way.
 
 For each workload it prints a Markdown table of the runs, then one row
 per end-to-end metric of ``BENCHMARK.json``: the parent's median and
@@ -127,17 +126,17 @@ def summary_table(pairs: list[dict], metrics: list[dict]) -> list[str]:
     return lines
 
 
-def run_pairs(parent: Path, change: Path, workload: str, count: int,
-              seconds: int, first_seed: int) -> list[dict]:
+def run_pairs(parent: Path, workload: str, count: int,
+              seconds: int) -> list[dict]:
     pairs = []
     for number in range(count):
-        seed = first_seed + number
+        seed = number + 1
         parent_first = number % 2 == 0
         order = ["parent", "change"] if parent_first else \
             ["change", "parent"]
         pair = {"pair": number + 1, "seed": seed, "first": order[0]}
         for side in order:
-            tree = parent if side == "parent" else change
+            tree = parent if side == "parent" else ROOT
             pair[side] = run_once(tree, workload, seed, seconds)
         print(f"{workload} pair {number + 1}: "
               f"parent {_cell(value(pair['parent'], 'throughput'), 1)}/s, "
@@ -152,20 +151,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True,
                         help="a directory with the parent tree, or a git "
                              "revision of this checkout")
-    parser.add_argument("--change", default=str(ROOT),
-                        help="the tree under test (default: this checkout)")
     parser.add_argument("--workload", action="append", required=True,
                         help="a workload of perfbench/run.py; repeatable")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=15)
-    parser.add_argument("--seed", type=int, default=1,
-                        help="the seed of the first pair; pair N uses "
-                             "seed + N - 1")
     parser.add_argument("--json", help="write every run's output here")
     args = parser.parse_args(argv)
 
-    change = Path(args.change).resolve()
-    metrics = end_to_end_metrics(change)
+    metrics = end_to_end_metrics(ROOT)
     report: dict = {}
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as scratch:
         if Path(args.parent).is_dir():
@@ -173,9 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             parent = extract_revision(args.parent, Path(scratch))
         for workload in args.workload:
-            report[workload] = run_pairs(parent, change, workload,
-                                         args.pairs, args.seconds,
-                                         args.seed)
+            report[workload] = run_pairs(parent, workload, args.pairs,
+                                         args.seconds)
     for workload, pairs in report.items():
         print(f"\n**{workload}** ({len(pairs)} pairs, {args.seconds} s "
               f"runs)\n")

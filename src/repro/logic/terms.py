@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterator, Mapping, Union
 
 from ..span import Span
@@ -49,6 +50,28 @@ class Term:
         raise NotImplementedError
 
 
+def cached_hash(*names: str):
+    """A ``__hash__`` that hashes the fields *names* once.
+
+    The first call stores ``hash((self.<name>, ...))``, the value the
+    dataclass would compute from those compare fields, in the instance's
+    ``_hash`` slot; later calls read it back.
+    """
+
+    compare = attrgetter(*names)
+    # attrgetter of one name returns the value itself, not a 1-tuple.
+    single = len(names) == 1
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((compare(self),) if single else compare(self))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    return __hash__
+
+
 @dataclass(frozen=True, slots=True)
 class Constant(Term):
     """An atomic datum: a label, an atomic value, or an atomic object id."""
@@ -62,12 +85,7 @@ class Constant(Term):
     _hash: int | None = field(default=None, init=False, compare=False,
                               repr=False)
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.value,))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __hash__ = cached_hash("value")
 
     def is_ground(self) -> bool:
         return True
@@ -96,12 +114,7 @@ class Variable(Term):
     _hash: int | None = field(default=None, init=False, compare=False,
                               repr=False)
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.name,))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __hash__ = cached_hash("name")
 
     def is_ground(self) -> bool:
         return False
@@ -126,12 +139,7 @@ class FunctionTerm(Term):
     _hash: int | None = field(default=None, init=False, compare=False,
                               repr=False)
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.functor, self.args))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __hash__ = cached_hash("functor", "args")
 
     def is_ground(self) -> bool:
         return all(arg.is_ground() for arg in self.args)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence, Union
 
 from ..logic.subst import Substitution
-from ..logic.terms import Term, Variable, reduce_by_init_fields
+from ..logic.terms import (Term, Variable, cached_hash,
+                           reduce_by_init_fields)
 from ..span import Span
 
 DEFAULT_SOURCE = "db"
@@ -36,12 +37,7 @@ class SetPattern:
     _hash: int | None = field(default=None, init=False, compare=False,
                               repr=False)
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.patterns,))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __hash__ = cached_hash("patterns")
 
     __reduce__ = reduce_by_init_fields
 
@@ -72,12 +68,7 @@ class ObjectPattern:
     _hash: int | None = field(default=None, init=False, compare=False,
                               repr=False)
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.oid, self.label, self.value))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __hash__ = cached_hash("oid", "label", "value")
 
     __reduce__ = reduce_by_init_fields
 
@@ -140,12 +131,7 @@ class SetPatternTerm(Term):
     _hash: int | None = field(default=None, init=False, compare=False,
                               repr=False)
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.pattern,))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __hash__ = cached_hash("pattern")
 
     def is_ground(self) -> bool:
         return not any(True for _ in self.pattern.variables())
@@ -173,12 +159,7 @@ class Condition:
     #: The body paths, filled by :mod:`repro.tsl.normalize`.
     _paths: tuple = field(init=False, compare=False, repr=False)
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.pattern, self.source))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __hash__ = cached_hash("pattern", "source")
 
     __reduce__ = reduce_by_init_fields
 
@@ -206,12 +187,7 @@ class Query:
     #: The body paths, filled by :mod:`repro.tsl.normalize`.
     _paths: tuple = field(init=False, compare=False, repr=False)
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.head, self.body))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __hash__ = cached_hash("head", "body")
 
     __reduce__ = reduce_by_init_fields
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..logic.terms import Term, reduce_by_init_fields
+from ..logic.terms import Term, cached_hash, reduce_by_init_fields
 from .ast import Condition, ObjectPattern, PatternValue, Query, SetPattern
 
 
@@ -40,12 +40,7 @@ class Path:
     def __post_init__(self) -> None:
         assert self.steps, "a path has at least one step"
 
-    def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.steps, self.leaf, self.source))
-            object.__setattr__(self, "_hash", value)
-        return value
+    __hash__ = cached_hash("steps", "leaf", "source")
 
     __reduce__ = reduce_by_init_fields
 
